@@ -225,7 +225,10 @@ int main(int argc, char** argv) {
                                       fx.instances.begin() + used);
     deploy::CostMatrix costs = bench::MeasuredMeanCosts(
         fx.cloud, subset, /*virtual_s=*/60.0, static_cast<uint64_t>(*seed));
-    std::vector<double> prices = fx.cloud.InstancePrices(subset);
+    std::vector<double> prices;
+    for (const net::Instance& inst : subset) {
+      prices.push_back(net::InstancePrice(fx.cloud.profile(), inst.host));
+    }
     deploy::ParetoOptions popts =
         MakeOptions(prices, n, *budget, static_cast<int>(*threads),
                     static_cast<uint64_t>(*seed));

@@ -174,14 +174,4 @@ std::vector<std::vector<double>> CloudSimulator::ExpectedRttMatrix(
   return m;
 }
 
-std::vector<double> CloudSimulator::InstancePrices(
-    const std::vector<Instance>& instances) const {
-  std::vector<double> prices;
-  prices.reserve(instances.size());
-  for (const Instance& instance : instances) {
-    prices.push_back(InstancePrice(profile_, instance.host));
-  }
-  return prices;
-}
-
 }  // namespace cloudia::net

@@ -87,12 +87,6 @@ class CloudSimulator {
       const std::vector<Instance>& instances,
       double msg_bytes = kDefaultProbeBytes, double t_hours = 0.0) const;
 
-  /// Effective $/hour per instance (InstancePrice of each instance's host),
-  /// index-aligned with `instances` -- the price vector an ObjectiveSpec's
-  /// price term consumes.
-  std::vector<double> InstancePrices(
-      const std::vector<Instance>& instances) const;
-
   const Topology& topology() const { return topology_; }
   const LatencyModel& model() const { return model_; }
   const ProviderProfile& profile() const { return profile_; }

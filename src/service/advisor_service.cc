@@ -829,23 +829,14 @@ void AdvisorService::ExecuteJob(const std::shared_ptr<Job>& job) {
   spec.app = nullptr;  // the session already solves for request.app
   spec.cancel = job->job_cancel;
   // A priced objective without explicit per-instance prices gets them from
-  // the environment's provider price model -- a pure function of
-  // (profile, host), so coalesced twins and warm-start peers see identical
-  // prices for identical environments.
-  if (spec.objective.price_weight > 0 && spec.objective.instance_prices.empty()) {
-    Result<net::ProviderProfile> profile =
-        ProviderProfileByName(job->request.environment.provider);
-    if (!profile.ok()) {
-      ServiceResult r;
-      r.status = profile.status();
-      complete_all(std::move(r));
-      return;
-    }
-    spec.objective.instance_prices.reserve(env->instances.size());
-    for (const net::Instance& inst : env->instances) {
-      spec.objective.instance_prices.push_back(
-          net::InstancePrice(*profile, inst.host));
-    }
+  // the environment's provider price model.
+  Status priced = FillInstancePrices(job->request.environment.provider,
+                                     env->instances, &spec.objective);
+  if (!priced.ok()) {
+    ServiceResult r;
+    r.status = priced;
+    complete_all(std::move(r));
+    return;
   }
   spec.on_progress = [job](const deploy::TracePoint& point,
                            const deploy::Deployment&) {

@@ -31,6 +31,22 @@ Result<net::ProviderProfile> ProviderProfileByName(std::string_view name) {
                                  "' (known: ec2, gce, rackspace)");
 }
 
+Status FillInstancePrices(std::string_view provider,
+                          const std::vector<net::Instance>& pool,
+                          deploy::ObjectiveSpec* objective) {
+  if (objective->price_weight <= 0 || !objective->instance_prices.empty()) {
+    return Status::OK();
+  }
+  CLOUDIA_ASSIGN_OR_RETURN(net::ProviderProfile profile,
+                           ProviderProfileByName(provider));
+  objective->instance_prices.reserve(pool.size());
+  for (const net::Instance& inst : pool) {
+    objective->instance_prices.push_back(
+        net::InstancePrice(profile, inst.host));
+  }
+  return Status::OK();
+}
+
 Result<MeasuredEnvironment> MeasureEnvironment(const EnvironmentSpec& spec,
                                                const CancelToken& cancel) {
   if (spec.instances < 2) {

@@ -17,6 +17,7 @@
 
 #include "common/cancel.h"
 #include "common/result.h"
+#include "deploy/cost.h"
 #include "deploy/cost_matrix.h"
 #include "measure/protocols.h"
 #include "netsim/cloud.h"
@@ -63,6 +64,16 @@ struct MeasuredEnvironment {
 
 /// Looks up a provider profile by its CLI name; the error lists the options.
 Result<net::ProviderProfile> ProviderProfileByName(std::string_view name);
+
+/// Prices `pool` with `provider`'s price model into
+/// objective->instance_prices when the objective weighs price and carries no
+/// explicit prices; otherwise leaves it untouched. An instance's price is a
+/// pure function of (profile, host), so every path that fills prices for
+/// equal pools -- coalesced twins, warm-start peers, both front ends --
+/// prices them identically.
+Status FillInstancePrices(std::string_view provider,
+                          const std::vector<net::Instance>& pool,
+                          deploy::ObjectiveSpec* objective);
 
 /// Allocates spec.instances on a fresh simulator seeded with spec.seed and
 /// runs the measurement protocol. Deterministic: equal specs produce

@@ -1,91 +1,60 @@
 // cloudia_cli -- command-line front end for the deployment advisor.
 //
-// Modes:
-//   advise    run the full pipeline against the simulated cloud and print
-//             the deployment plan (optionally saving the measured costs)
-//   measure   only measure; save the cost matrix to --out
-//   solve     load a saved cost matrix (--costs) and search a deployment
-//             for a templated application graph
+//   cloudia_cli advise   measure a simulated environment, solve on it and
+//                        print the deployment plan (--out saves the matrix)
+//   cloudia_cli measure  only measure; save the cost matrix to --out
+//   cloudia_cli solve    search a deployment on a saved matrix (--costs)
 //
-// Examples:
-//   cloudia_cli advise --nodes=100 --graph=mesh --method=cp --budget=10
-//   cloudia_cli measure --instances=50 --minutes=5 --out=costs.txt
-//   cloudia_cli solve --costs=costs.txt --graph=tree --objective=longest-path
-#include <cctype>
+// Flags are cloudia_serve's request keys spelled --key=value, parsed by the
+// same grammar (service/request_grammar.h); --help lists them.
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "cloudia/session.h"
 #include "common/flags.h"
-#include "deploy/solver_registry.h"
-#include "graph/templates.h"
 #include "measure/io.h"
-#include "measure/protocols.h"
 #include "obs/obs.h"
-#include "tool_util.h"
+#include "service/environment.h"
+#include "service/request_grammar.h"
 
 namespace {
 
 using namespace cloudia;
+using service::ParsedRequest;
 
-using tools::GraphByName;
-using tools::SplitCommaList;
-using tools::ValidateObjectiveWeight;
-using tools::ValidateThreads;
-
-// Canonicalizes --portfolio members via the registry; prints the error and
-// returns false on unknown or duplicate names.
-bool ValidatePortfolio(const std::string& csv,
-                       std::vector<std::string>* members) {
-  auto validated = deploy::ValidatePortfolioMembers(
-      deploy::SolverRegistry::Global(), SplitCommaList(csv));
-  if (!validated.ok()) {
-    std::fprintf(stderr, "--portfolio: %s\n",
-                 validated.status().ToString().c_str());
-    return false;
-  }
-  *members = std::move(validated).value();
-  return true;
-}
-
-std::string KnownMethods() { return tools::KnownSolverNames(" | "); }
-
-// Observability sinks requested with --trace/--metrics. Sinks are attached
-// only when their flag is given, so the default run pays nothing; Dump()
-// writes whatever was requested after the work finishes.
+// The --trace / --metrics sinks, attached only when requested so the
+// default run pays nothing; Dump() writes them after the work finishes.
 struct ObsSinks {
-  std::string trace_path;
-  std::string metrics_path;
+  explicit ObsSinks(const ParsedRequest& r) : request(r) {}
+  const ParsedRequest& request;
   obs::Tracer tracer;
   obs::MetricsRegistry registry;
 
-  explicit ObsSinks(const Flags& flags)
-      : trace_path(flags.GetString("trace", "")),
-        metrics_path(flags.GetString("metrics", "")) {}
   obs::ObsConfig Config() {
     obs::ObsConfig config;
-    if (!trace_path.empty()) config.tracer = &tracer;
-    if (!metrics_path.empty()) config.metrics = &registry;
+    if (!request.trace.empty()) config.tracer = &tracer;
+    if (!request.metrics.empty()) config.metrics = &registry;
     return config;
   }
   /// Writes the requested files; returns false (with stderr) on I/O error.
   bool Dump() {
-    if (!trace_path.empty()) {
-      if (!tracer.WriteChromeTrace(trace_path)) {
-        std::fprintf(stderr, "cannot write trace to %s\n",
-                     trace_path.c_str());
+    const char* trace = request.trace.c_str();
+    const char* metrics = request.metrics.c_str();
+    if (*trace != '\0') {
+      if (!tracer.WriteChromeTrace(trace)) {
+        std::fprintf(stderr, "cannot write trace to %s\n", trace);
         return false;
       }
       std::printf("wrote %zu trace events to %s\n", tracer.event_count(),
-                  trace_path.c_str());
+                  trace);
     }
-    if (!metrics_path.empty()) {
-      if (!registry.WriteJson(metrics_path, "cloudia_cli")) {
-        std::fprintf(stderr, "cannot write metrics to %s\n",
-                     metrics_path.c_str());
+    if (*metrics != '\0') {
+      if (!registry.WriteJson(metrics, "cloudia_cli")) {
+        std::fprintf(stderr, "cannot write metrics to %s\n", metrics);
         return false;
       }
-      std::printf("wrote metrics to %s\n", metrics_path.c_str());
+      std::printf("wrote metrics to %s\n", metrics);
     }
     return true;
   }
@@ -93,346 +62,142 @@ struct ObsSinks {
 
 void PrintUsage() {
   std::printf(
-      "usage: cloudia_cli <advise|measure|solve> [flags]\n"
+      "usage: cloudia_cli <advise|measure|solve> [--key=value ...]\n"
       "\n"
-      "common flags:\n"
-      "  --seed=N             RNG seed (default 1)\n"
-      "  --provider=NAME      ec2 | gce | rackspace (default ec2)\n"
-      "  --graph=NAME         mesh | tree | bipartite | ring (default mesh)\n"
-      "  --nodes=N            application nodes (default 30; shapes snap to\n"
-      "                       the nearest template size)\n"
-      "  --objective=NAME     longest-link | longest-path\n"
-      "  --price-weight=W     weight on summed instance price, ms per $/h\n"
-      "                       (default 0 = latency only; finite, >= 0).\n"
-      "                       advise prices the allocated pool via the\n"
-      "                       provider's price model; solve derives prices\n"
-      "                       from the provider profile per matrix row\n"
-      "  --migration-weight=W weight (ms per move) on nodes placed away\n"
-      "                       from the default placement (default 0)\n"
-      "  --method=NAME        %s\n"
-      "  --budget=SECONDS     search budget (default 10)\n"
-      "  --clusters=K         cost clusters for cp/mip (default 20)\n"
-      "  --threads=N          worker threads for r2/portfolio (default:\n"
-      "                       hardware concurrency)\n"
-      "  --portfolio=A,B,...  member solvers for --method=portfolio\n"
-      "                       (default cp,mip,local,r2)\n"
-      "  --hier-clusters=K    instance clusters for --method=hier\n"
-      "                       (default 0 = latency-threshold auto)\n"
-      "  --hier-shard-solver=NAME\n"
-      "                       per-shard solver for hier (default local)\n"
-      "  --hier-polish-steps=N\n"
-      "                       boundary-polish step budget (default 2000)\n"
-      "  --trace=FILE         write a Chrome trace_event JSON of the run\n"
-      "                       (open in chrome://tracing or Perfetto)\n"
-      "  --metrics=FILE       write collected counters as bench-schema JSON\n"
-      "advise/measure flags:\n"
-      "  --over-allocation=F  extra instance fraction (default 0.10)\n"
-      "  --minutes=M          virtual measurement minutes (default auto)\n"
-      "  --out=FILE           save the measured mean-cost matrix\n"
-      "solve flags:\n"
-      "  --costs=FILE         cost matrix produced by 'measure'\n",
-      KnownMethods().c_str());
+      "keys (the request keys of cloudia_serve lines; [..] = modes that\n"
+      "accept the key, none = all):\n%s",
+      service::RequestKeyUsage(/*cli=*/true).c_str());
 }
 
-net::ProviderProfile ProviderByName(const std::string& name) {
-  if (name == "gce") return net::GoogleComputeEngineProfile();
-  if (name == "rackspace") return net::RackspaceCloudProfile();
-  return net::AmazonEc2Profile();
+// The pool a request solves on: row i of `costs` is `instances[i]`.
+struct Pool {
+  std::vector<net::Instance> instances;
+  deploy::CostMatrix costs;
+  double measure_s = 0.0;
+};
+
+// solve loads its matrix; advise and measure measure the environment (and
+// save the matrix when --out is set).
+Result<Pool> ObtainPool(const ParsedRequest& request,
+                        const obs::ObsConfig& obs) {
+  Pool pool;
+  if (request.verb == service::RequestVerb::kSolve) {
+    CLOUDIA_ASSIGN_OR_RETURN(measure::LoadedCostMatrix loaded,
+                             measure::LoadCostMatrix(request.costs));
+    // A saved matrix carries no host identities: instance i is matrix row
+    // i, priced as host i by the provider's price model.
+    pool.instances.resize(static_cast<size_t>(loaded.costs.size()));
+    for (size_t i = 0; i < pool.instances.size(); ++i) {
+      pool.instances[i].id = pool.instances[i].host = static_cast<int>(i);
+    }
+    pool.costs = std::move(loaded.costs);
+    return pool;
+  }
+  obs::Span span(obs.tracer, "cli.measure", "cli");
+  CLOUDIA_ASSIGN_OR_RETURN(service::MeasuredEnvironment env,
+                           service::MeasureEnvironment(request.environment));
+  if (!request.out.empty()) {
+    CLOUDIA_RETURN_IF_ERROR(measure::SaveCostMatrix(
+        request.out, env.costs,
+        measure::CostMetricName(request.environment.metric)));
+    std::printf("saved measured cost matrix to %s\n", request.out.c_str());
+  }
+  return Pool{std::move(env.instances), std::move(env.costs),
+              env.measure_virtual_s};
 }
 
-int RunAdvise(const Flags& flags) {
-  auto seed = flags.GetInt("seed", 1);
-  auto nodes = flags.GetInt("nodes", 30);
-  auto budget = flags.GetDouble("budget", 10.0);
-  auto clusters = flags.GetInt("clusters", 20);
-  auto threads = flags.GetInt("threads", 0);
-  auto over = flags.GetDouble("over-allocation", 0.10);
-  auto minutes = flags.GetDouble("minutes", 0.0);
-  auto hier_clusters = flags.GetInt("hier-clusters", 0);
-  auto hier_polish = flags.GetInt("hier-polish-steps", 2000);
-  auto price_weight = flags.GetDouble("price-weight", 0.0);
-  auto migration_weight = flags.GetDouble("migration-weight", 0.0);
-  if (!seed.ok() || !nodes.ok() || !budget.ok() || !clusters.ok() ||
-      !threads.ok() || !over.ok() || !minutes.ok() || !hier_clusters.ok() ||
-      !hier_polish.ok() || !price_weight.ok() || !migration_weight.ok()) {
-    std::fprintf(stderr, "bad numeric flag\n");
-    return 2;
-  }
-  if (!ValidateThreads(*threads)) return 2;
-  if (!ValidateObjectiveWeight("--price-weight", *price_weight) ||
-      !ValidateObjectiveWeight("--migration-weight", *migration_weight)) {
-    return 2;
-  }
-  std::vector<std::string> portfolio_members;
-  if (!ValidatePortfolio(flags.GetString("portfolio", ""),
-                         &portfolio_members)) {
-    return 2;
-  }
-  auto objective =
-      deploy::ParseObjective(flags.GetString("objective", "longest-link"));
-  if (!objective.ok()) {
-    std::fprintf(stderr, "%s\n", objective.status().ToString().c_str());
-    return 2;
-  }
-  // Reject a bad --method before paying for allocation + measurement.
-  auto solver = deploy::SolverRegistry::Global().Require(
-      flags.GetString("method", "cp"));
-  if (!solver.ok()) {
-    std::fprintf(stderr, "%s\n", solver.status().ToString().c_str());
-    return 2;
-  }
-  if (!(*solver)->Supports(*objective)) {
-    std::fprintf(stderr, "%s does not support the %s objective\n",
-                 (*solver)->display_name(),
-                 deploy::ObjectiveName(*objective));
-    return 2;
-  }
-
-  net::CloudSimulator cloud(ProviderByName(flags.GetString("provider", "ec2")),
-                            static_cast<uint64_t>(*seed));
-  graph::CommGraph app = GraphByName(flags.GetString("graph", "mesh"),
-                                     static_cast<int>(*nodes));
-  std::printf("application graph: %s\n", app.ToString().c_str());
-
-  ObsSinks sinks(flags);
+// Solves on the pool through the session path the service uses: price the
+// pool, adopt the measurement, solve.
+Result<SessionSolve> Solve(const ParsedRequest& request, Pool pool,
+                           const obs::ObsConfig& obs) {
   SessionOptions options;
-  options.over_allocation = *over;
-  options.measure_duration_s = *minutes * 60.0;
-  options.seed = static_cast<uint64_t>(*seed);
-  options.obs = sinks.Config();
+  options.obs = obs;
+  DeploymentSession session(/*cloud=*/nullptr, request.app.get(), options);
+  SolveSpec spec = request.solve;
+  CLOUDIA_RETURN_IF_ERROR(service::FillInstancePrices(
+      request.environment.provider, pool.instances, &spec.objective));
+  CLOUDIA_RETURN_IF_ERROR(session.AdoptMeasurement(
+      std::move(pool.instances), std::move(pool.costs), pool.measure_s));
+  return session.Solve(spec);
+}
 
-  // Staged pipeline so the measured matrix is still around for --out.
-  DeploymentSession session(&cloud, &app, options);
-  Status measured = session.Measure();
-  if (!measured.ok()) {
-    std::fprintf(stderr, "measurement failed: %s\n",
-                 measured.ToString().c_str());
+void PrintReport(const SessionSolve& solve, size_t allocated,
+                 double measure_s) {
+  std::printf("ClouDiA deployment report\n");
+  std::printf("  allocated instances : %zu\n", allocated);
+  std::printf("  used instances      : %zu\n", solve.placement.size());
+  std::printf("  spare instances     : %zu (terminate these)\n",
+              allocated - solve.placement.size());
+  std::printf("  measurement time    : %.1f s (virtual)\n", measure_s);
+  std::printf("  search time         : %.2f s (wall, %s)\n", solve.wall_s,
+              solve.method.c_str());
+  std::printf("  default cost        : %.4f ms\n", solve.default_cost_ms);
+  std::printf("  optimized cost      : %.4f ms%s\n", solve.cost_ms,
+              solve.result.proven_optimal ? " (proven optimal)" : "");
+  std::printf("  predicted reduction : %.1f %%\n",
+              100.0 * solve.predicted_improvement);
+  const deploy::ObjectiveSpec& objective = solve.objective;
+  if (objective.price_weight > 0) {
+    double plan_price = 0.0;
+    for (int idx : solve.result.deployment) {
+      plan_price += objective.instance_prices[static_cast<size_t>(idx)];
+    }
+    std::printf("  plan price          : %.4f $/hour (weight %g)\n",
+                plan_price, objective.price_weight);
+  }
+  if (objective.migration_weight > 0) {
+    int moves = 0;
+    for (size_t i = 0; i < solve.result.deployment.size(); ++i) {
+      moves += solve.result.deployment[i] != static_cast<int>(i) ? 1 : 0;
+    }
+    std::printf("  moves vs default    : %d (weight %g ms/move)\n", moves,
+                objective.migration_weight);
+  }
+  std::printf("plan:\n");
+  for (size_t i = 0; i < solve.placement.size(); ++i) {
+    std::printf("  node %3zu -> instance %3d (%s)\n", i,
+                solve.placement[i].id,
+                net::IpToString(solve.placement[i].internal_ip).c_str());
+  }
+}
+
+int Run(const ParsedRequest& request) {
+  using service::RequestVerb;
+  if (request.verb == RequestVerb::kAdvise) {
+    std::printf("application graph: %s\n", request.app->ToString().c_str());
+  }
+  ObsSinks sinks(request);
+  auto pool = ObtainPool(request, sinks.Config());
+  if (!pool.ok()) {
+    std::fprintf(stderr, "%s\n", pool.status().ToString().c_str());
     return 1;
   }
-  std::string out = flags.GetString("out", "");
-  if (!out.empty()) {
-    Status saved = measure::SaveCostMatrix(
-        out, session.costs(), measure::CostMetricName(options.metric));
-    if (!saved.ok()) {
-      std::fprintf(stderr, "%s\n", saved.ToString().c_str());
-      return 1;
-    }
-    std::printf("saved measured cost matrix to %s\n", out.c_str());
+  const size_t allocated = pool->instances.size();
+  const double measure_s = pool->measure_s;
+  if (request.verb == RequestVerb::kMeasure) {
+    std::printf("measured %zu instances over %.1f virtual s\n", allocated,
+                measure_s);
+    return 0;
   }
-
-  SolveSpec spec;
-  spec.method = (*solver)->name();
-  spec.objective = *objective;
-  spec.objective.price_weight = *price_weight;
-  spec.objective.migration_weight = *migration_weight;
-  if (*price_weight > 0) {
-    // Price the allocated pool with the provider's per-host price model.
-    spec.objective.instance_prices = cloud.InstancePrices(session.allocated());
-  }
-  spec.time_budget_s = *budget;
-  spec.cost_clusters = static_cast<int>(*clusters);
-  spec.threads = static_cast<int>(*threads);
-  spec.portfolio_members = std::move(portfolio_members);
-  spec.seed = static_cast<uint64_t>(*seed);
-  spec.hier_clusters = static_cast<int>(*hier_clusters);
-  spec.hier_shard_solver = flags.GetString("hier-shard-solver", "");
-  spec.hier_polish_steps = static_cast<int>(*hier_polish);
-  auto solve = session.Solve(spec);
+  auto solve = Solve(request, std::move(*pool), sinks.Config());
   if (!solve.ok()) {
     std::fprintf(stderr, "solve failed: %s\n",
                  solve.status().ToString().c_str());
-    session.Terminate();  // release the whole pool before giving up
-    return 1;
-  }
-  auto terminated = session.Terminate(*solve);
-  if (!terminated.ok()) {
-    std::fprintf(stderr, "terminate failed: %s\n",
-                 terminated.status().ToString().c_str());
     return 1;
   }
   if (!sinks.Dump()) return 1;
-
-  std::printf("ClouDiA deployment report\n");
-  std::printf("  allocated instances : %zu\n", session.allocated().size());
-  std::printf("  application nodes   : %zu\n", solve->placement.size());
-  std::printf("  terminated extras   : %zu\n", terminated->size());
-  std::printf("  measurement time    : %.1f s (virtual)\n",
-              session.measure_virtual_s());
-  std::printf("  search time         : %.2f s (wall, %s)\n", solve->wall_s,
-              solve->method.c_str());
-  std::printf("  default cost        : %.4f ms\n", solve->default_cost_ms);
-  std::printf("  optimized cost      : %.4f ms%s\n", solve->cost_ms,
-              solve->result.proven_optimal ? " (proven optimal)" : "");
-  std::printf("  predicted reduction : %.1f %%\n",
-              100.0 * solve->predicted_improvement);
-  if (*price_weight > 0) {
-    double plan_price = 0.0;
-    for (int idx : solve->result.deployment) {
-      plan_price += spec.objective.instance_prices[static_cast<size_t>(idx)];
-    }
-    std::printf("  plan price          : %.4f $/hour (weight %g)\n",
-                plan_price, *price_weight);
+  if (request.verb == RequestVerb::kAdvise) {
+    PrintReport(*solve, allocated, measure_s);
+    return 0;
   }
-  if (*migration_weight > 0) {
-    int moves = 0;
-    for (size_t i = 0; i < solve->result.deployment.size(); ++i) {
-      moves += solve->result.deployment[i] != static_cast<int>(i) ? 1 : 0;
-    }
-    std::printf("  moves vs default    : %d (weight %g ms/move)\n", moves,
-                *migration_weight);
-  }
-  std::printf("plan:\n");
-  for (size_t i = 0; i < solve->placement.size(); ++i) {
-    std::printf("  node %3zu -> instance %3d (%s)\n", i,
-                solve->placement[i].id,
-                net::IpToString(solve->placement[i].internal_ip).c_str());
-  }
-  return 0;
-}
-
-int RunMeasure(const Flags& flags) {
-  auto seed = flags.GetInt("seed", 1);
-  auto instances = flags.GetInt("instances", 50);
-  auto minutes = flags.GetDouble("minutes", 5.0);
-  std::string out = flags.GetString("out", "costs.txt");
-  if (!seed.ok() || !instances.ok() || !minutes.ok()) {
-    std::fprintf(stderr, "bad numeric flag\n");
-    return 2;
-  }
-  net::CloudSimulator cloud(ProviderByName(flags.GetString("provider", "ec2")),
-                            static_cast<uint64_t>(*seed));
-  auto alloc = cloud.Allocate(static_cast<int>(*instances));
-  if (!alloc.ok()) {
-    std::fprintf(stderr, "%s\n", alloc.status().ToString().c_str());
-    return 1;
-  }
-  measure::ProtocolOptions opts;
-  opts.duration_s = *minutes * 60.0;
-  opts.seed = static_cast<uint64_t>(*seed) + 1;
-  auto measured = measure::RunStaged(cloud, *alloc, opts);
-  if (!measured.ok()) {
-    std::fprintf(stderr, "%s\n", measured.status().ToString().c_str());
-    return 1;
-  }
-  auto costs = measure::BuildCostMatrix(*measured, measure::CostMetric::kMean);
-  if (!costs.ok()) {
-    std::fprintf(stderr, "%s\n", costs.status().ToString().c_str());
-    return 1;
-  }
-  Status saved = measure::SaveCostMatrix(out, *costs, "Mean");
-  if (!saved.ok()) {
-    std::fprintf(stderr, "%s\n", saved.ToString().c_str());
-    return 1;
-  }
-  std::printf("measured %lld samples over %.1f virtual minutes; saved %s\n",
-              static_cast<long long>(measured->total_samples()),
-              measured->virtual_time_ms / 6e4, out.c_str());
-  return 0;
-}
-
-int RunSolve(const Flags& flags) {
-  std::string path = flags.GetString("costs", "");
-  if (path.empty()) {
-    std::fprintf(stderr, "--costs=FILE is required for 'solve'\n");
-    return 2;
-  }
-  auto loaded = measure::LoadCostMatrix(path);
-  if (!loaded.ok()) {
-    std::fprintf(stderr, "%s\n", loaded.status().ToString().c_str());
-    return 1;
-  }
-  auto seed = flags.GetInt("seed", 1);
-  auto budget = flags.GetDouble("budget", 10.0);
-  auto clusters = flags.GetInt("clusters", 20);
-  auto threads = flags.GetInt("threads", 0);
-  auto nodes = flags.GetInt(
-      "nodes", static_cast<int64_t>(loaded->costs.size() * 9 / 10));
-  auto hier_clusters = flags.GetInt("hier-clusters", 0);
-  auto hier_polish = flags.GetInt("hier-polish-steps", 2000);
-  auto price_weight = flags.GetDouble("price-weight", 0.0);
-  auto migration_weight = flags.GetDouble("migration-weight", 0.0);
-  if (!seed.ok() || !budget.ok() || !clusters.ok() || !threads.ok() ||
-      !nodes.ok() || !hier_clusters.ok() || !hier_polish.ok() ||
-      !price_weight.ok() || !migration_weight.ok()) {
-    std::fprintf(stderr, "bad numeric flag\n");
-    return 2;
-  }
-  if (!ValidateThreads(*threads)) return 2;
-  if (!ValidateObjectiveWeight("--price-weight", *price_weight) ||
-      !ValidateObjectiveWeight("--migration-weight", *migration_weight)) {
-    return 2;
-  }
-  std::vector<std::string> portfolio_members;
-  if (!ValidatePortfolio(flags.GetString("portfolio", ""),
-                         &portfolio_members)) {
-    return 2;
-  }
-  // Registry-based lookup so every registered solver (including the
-  // portfolio) is reachable, not only the Method enum's built-ins.
-  auto solver = deploy::SolverRegistry::Global().Require(
-      flags.GetString("method", "cp"));
-  auto objective =
-      deploy::ParseObjective(flags.GetString("objective", "longest-link"));
-  if (!solver.ok() || !objective.ok()) {
-    std::fprintf(stderr, "%s\n",
-                 (!solver.ok() ? solver.status() : objective.status())
-                     .ToString()
-                     .c_str());
-    return 2;
-  }
-  graph::CommGraph app = GraphByName(flags.GetString("graph", "mesh"),
-                                     static_cast<int>(*nodes));
-  if (app.num_nodes() > loaded->costs.size()) {
-    std::fprintf(stderr, "graph needs %d nodes but matrix has %d instances\n",
-                 app.num_nodes(), loaded->costs.size());
-    return 2;
-  }
-  deploy::NdpSolveOptions opts;
-  opts.objective = *objective;
-  opts.objective.price_weight = *price_weight;
-  opts.objective.migration_weight = *migration_weight;
-  if (*price_weight > 0) {
-    // A saved matrix carries no host identities; derive a deterministic
-    // price per matrix row from the provider profile's price model.
-    const net::ProviderProfile profile =
-        ProviderByName(flags.GetString("provider", "ec2"));
-    opts.objective.instance_prices.reserve(
-        static_cast<size_t>(loaded->costs.size()));
-    for (int i = 0; i < loaded->costs.size(); ++i) {
-      opts.objective.instance_prices.push_back(net::InstancePrice(profile, i));
-    }
-  }
-  opts.time_budget_s = *budget;
-  opts.cost_clusters = static_cast<int>(*clusters);
-  opts.threads = static_cast<int>(*threads);
-  opts.portfolio_members = std::move(portfolio_members);
-  opts.seed = static_cast<uint64_t>(*seed);
-  opts.hier_clusters = static_cast<int>(*hier_clusters);
-  opts.hier_shard_solver = flags.GetString("hier-shard-solver", "");
-  opts.hier_polish_steps = static_cast<int>(*hier_polish);
-  ObsSinks sinks(flags);
-  const obs::ObsConfig obs_config = sinks.Config();
-  deploy::SolveContext context(Deadline::After(*budget));
-  context.set_max_threads(opts.threads);
-  obs::Span solve_span(obs_config.tracer, "cli.solve", "cli");
-  if (obs_config.tracer != nullptr) {
-    context.set_obs(obs_config.tracer, solve_span.id(), (*solver)->name());
-  }
-  auto result = deploy::SolveNodeDeploymentByName(
-      app, loaded->costs, (*solver)->name(), opts, context);
-  solve_span.End();
-  if (!result.ok()) {
-    std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
-    return 1;
-  }
-  if (!sinks.Dump()) return 1;
+  const deploy::NdpSolveResult& result = solve->result;
   std::printf("graph %s, %s / %s: cost %.4f ms%s after %.1f s\n",
-              app.ToString().c_str(), (*solver)->display_name(),
-              deploy::ObjectiveName(*objective), result->cost,
-              result->proven_optimal ? " (optimal)" : "",
-              result->trace.empty() ? 0.0 : result->trace.back().seconds);
-  for (size_t i = 0; i < result->deployment.size(); ++i) {
-    std::printf("  node %3zu -> instance %3d\n", i, result->deployment[i]);
+              request.app->ToString().c_str(), solve->method.c_str(),
+              deploy::ObjectiveName(solve->objective), solve->cost_ms,
+              result.proven_optimal ? " (optimal)" : "",
+              result.trace.empty() ? 0.0 : result.trace.back().seconds);
+  for (size_t i = 0; i < result.deployment.size(); ++i) {
+    std::printf("  node %3zu -> instance %3d\n", i, result.deployment[i]);
   }
   return 0;
 }
@@ -449,11 +214,10 @@ int main(int argc, char** argv) {
     PrintUsage();
     return flags->Has("help") ? 0 : 2;
   }
-  const std::string& mode = flags->positional()[0];
-  if (mode == "advise") return RunAdvise(*flags);
-  if (mode == "measure") return RunMeasure(*flags);
-  if (mode == "solve") return RunSolve(*flags);
-  std::fprintf(stderr, "unknown mode '%s'\n", mode.c_str());
-  PrintUsage();
-  return 2;
+  auto request = service::ParseRequestFlags(*flags);
+  if (!request.ok()) {
+    std::fprintf(stderr, "%s\n", request.status().ToString().c_str());
+    return 2;
+  }
+  return Run(*request);
 }

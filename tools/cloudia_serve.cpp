@@ -7,7 +7,9 @@
 // cost-matrix cache; byte-identical requests are coalesced onto one solve.
 //
 // Request lines are whitespace-separated key=value tokens; '#' starts a
-// comment. Example (see examples/service_requests.txt):
+// comment. cloudia_cli takes the same keys as flags: both front ends parse
+// them with service/request_grammar.h. Example (see
+// examples/service_requests.txt):
 //
 //   provider=ec2 instances=33 graph=mesh nodes=30 method=auto budget=2
 //       priority=1 seed=7
@@ -15,22 +17,18 @@
 // Usage:
 //   cloudia_serve --file=examples/service_requests.txt --threads=4
 //   cloudia_serve --file=- < requests.txt        # stdin
-#include <cmath>
 #include <cstdio>
-#include <deque>
 #include <fstream>
 #include <iostream>
 #include <map>
-#include <sstream>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/flags.h"
-#include "deploy/solver_registry.h"
-#include "graph/templates.h"
 #include "obs/obs.h"
 #include "service/advisor_service.h"
-#include "tool_util.h"
+#include "service/request_grammar.h"
 
 namespace {
 
@@ -57,332 +55,10 @@ void PrintUsage() {
       "                       (open in chrome://tracing or Perfetto)\n"
       "  --metrics=FILE       write final counters as bench-schema JSON\n"
       "\n"
-      "request line keys (whitespace-separated key=value; '#' comments):\n"
-      "  verb=deploy|redeploy (default deploy)\n"
-      "  verb=stats (alone on its line) prints the service metrics snapshot\n"
-      "      at that position in the result stream -- every request above it\n"
-      "      is already reflected, none below it is\n"
-      "  provider=ec2|gce|rackspace   instances=N     env-seed=N\n"
-      "  protocol=token|uncoordinated|staged   metric=mean|mean-sd|p99\n"
-      "  duration=VIRTUAL_SECONDS     probe-bytes=B\n"
-      "  graph=mesh|tree|bipartite|ring   nodes=N\n"
-      "  method=auto|%s\n"
-      "  objective=longest-link|longest-path   budget=S   clusters=K\n"
-      "  price-weight=W (ms per $/h on summed instance price; finite, >= 0;\n"
-      "      the service prices the pool via the provider's price model)\n"
-      "  migration-weight=W (ms per node placed away from the default)\n"
-      "  r1-samples=N   threads=N   portfolio=A,B,...   seed=N\n"
-      "  hier-clusters=K   hier-shard-solver=NAME   hier-polish-steps=N\n"
-      "  priority=P (higher first)    deadline=S (must start within)\n"
-      "\n"
-      "redeploy lines additionally accept (and opt the environment into\n"
-      "online redeployment: solve a baseline, run drift checks over virtual\n"
-      "time, re-measure + plan migrations on escalation, refresh the cache):\n"
-      "  k=N (migration budget per plan; default 4)   checks=N (default 8)\n"
-      "  check-interval=VIRTUAL_SECONDS (default 1800)\n"
-      "  drift-rate=P (congestion episodes per rack pair per epoch, 0.35)\n"
-      "  drift-severity=X (episode RTT multiplier upper bound, 3.0)\n"
-      "  drift-seed=N (default env-seed+1)   relocation-prob=P (0.05/hour)\n",
-      tools::KnownSolverNames(", ").c_str());
-}
-
-using tools::GraphByName;
-using tools::SplitCommaList;
-
-// One parsed request line -> DeploymentRequest. The graph store keeps every
-// distinct (graph, nodes) template alive for the service's lifetime.
-struct GraphStore {
-  const graph::CommGraph* Get(const std::string& name, int nodes) {
-    auto key = std::make_pair(name, nodes);
-    auto it = index.find(key);
-    if (it != index.end()) return it->second;
-    graphs.push_back(GraphByName(name, nodes));
-    index[key] = &graphs.back();
-    return &graphs.back();
-  }
-  std::deque<graph::CommGraph> graphs;  // deque: stable addresses
-  std::map<std::pair<std::string, int>, const graph::CommGraph*> index;
-};
-
-// One parsed line: a deployment request, or a redeploy request plus the
-// per-environment policy its knobs describe (a redeploy line *is* the
-// environment's opt-in when driven from a file).
-struct ParsedRequest {
-  bool is_redeploy = false;
-  service::DeploymentRequest deploy;
-  service::RedeployRequest redeploy;
-  service::RedeployPolicy policy;
-};
-
-Result<ParsedRequest> ParseRequestLine(const std::string& line,
-                                       GraphStore& graphs) {
-  ParsedRequest parsed;
-  service::DeploymentRequest& req = parsed.deploy;
-  std::string graph_name = "mesh";
-  int nodes = 30;
-  int instances = 0;  // 0 = nodes + 10% over-allocation
-  req.solve.method = "auto";
-
-  // Redeploy defaults (only read when verb=redeploy).
-  parsed.redeploy.max_migrations = 4;
-  parsed.redeploy.checks = 8;
-  parsed.policy.check_interval_s = 1800.0;
-  parsed.policy.dynamics.epoch_minutes = 30.0;
-  parsed.policy.dynamics.episode_rate = 0.35;
-  parsed.policy.dynamics.severity_hi = 3.0;
-  parsed.policy.dynamics.recovery_per_epoch = 0.1;
-  parsed.policy.dynamics.relocation_window_hours = 1.0;
-  parsed.policy.dynamics.relocation_prob = 0.05;
-  parsed.policy.planner.time_budget_s = 1.0;
-  bool drift_seed_set = false;
-  /// Redeploy-only keys seen on the line; a deploy line using one is a
-  /// mistake (the knob would be silently dropped), so it fails like any
-  /// other unknown key instead.
-  std::string redeploy_only_key;
-
-  std::istringstream tokens(line);
-  std::string token;
-  while (tokens >> token) {
-    if (token[0] == '#') break;
-    size_t eq = token.find('=');
-    if (eq == std::string::npos || eq == 0) {
-      return Status::InvalidArgument("token '" + token +
-                                     "' is not key=value");
-    }
-    const std::string key = token.substr(0, eq);
-    const std::string value = token.substr(eq + 1);
-    auto as_int = [&]() -> Result<int> {
-      try {
-        return std::stoi(value);
-      } catch (...) {
-        return Status::InvalidArgument(key + "=" + value + ": not a number");
-      }
-    };
-    auto as_double = [&]() -> Result<double> {
-      try {
-        return std::stod(value);
-      } catch (...) {
-        return Status::InvalidArgument(key + "=" + value + ": not a number");
-      }
-    };
-    if (key == "verb") {
-      if (value == "deploy") {
-        parsed.is_redeploy = false;
-      } else if (value == "redeploy") {
-        parsed.is_redeploy = true;
-      } else {
-        return Status::InvalidArgument("unknown verb '" + value +
-                                       "' (known: deploy, redeploy)");
-      }
-    } else if (key == "k") {
-      redeploy_only_key = key;
-      CLOUDIA_ASSIGN_OR_RETURN(parsed.redeploy.max_migrations, as_int());
-      if (parsed.redeploy.max_migrations < -1) {
-        return Status::InvalidArgument(
-            "k=" + value + ": migration budget must be >= -1 (-1 = unlimited)");
-      }
-    } else if (key == "checks") {
-      redeploy_only_key = key;
-      CLOUDIA_ASSIGN_OR_RETURN(parsed.redeploy.checks, as_int());
-      if (parsed.redeploy.checks < 1) {
-        return Status::InvalidArgument("checks=" + value + ": need >= 1");
-      }
-    } else if (key == "check-interval") {
-      redeploy_only_key = key;
-      CLOUDIA_ASSIGN_OR_RETURN(parsed.policy.check_interval_s, as_double());
-      if (parsed.policy.check_interval_s <= 0) {
-        return Status::InvalidArgument("check-interval=" + value +
-                                       ": need > 0 virtual seconds");
-      }
-    } else if (key == "drift-rate") {
-      redeploy_only_key = key;
-      CLOUDIA_ASSIGN_OR_RETURN(parsed.policy.dynamics.episode_rate,
-                               as_double());
-      if (parsed.policy.dynamics.episode_rate < 0 ||
-          parsed.policy.dynamics.episode_rate > 1) {
-        return Status::InvalidArgument("drift-rate=" + value +
-                                       ": a probability in [0, 1]");
-      }
-    } else if (key == "drift-severity") {
-      redeploy_only_key = key;
-      CLOUDIA_ASSIGN_OR_RETURN(parsed.policy.dynamics.severity_hi,
-                               as_double());
-      if (parsed.policy.dynamics.severity_hi < 1.0) {
-        return Status::InvalidArgument(
-            "drift-severity=" + value +
-            ": an RTT multiplier, must be >= 1");
-      }
-    } else if (key == "drift-seed") {
-      redeploy_only_key = key;
-      CLOUDIA_ASSIGN_OR_RETURN(int v, as_int());
-      if (v < 0) {
-        return Status::InvalidArgument("drift-seed=" + value +
-                                       ": must be >= 0");
-      }
-      parsed.policy.dynamics.seed = static_cast<uint64_t>(v);
-      drift_seed_set = true;
-    } else if (key == "relocation-prob") {
-      redeploy_only_key = key;
-      CLOUDIA_ASSIGN_OR_RETURN(parsed.policy.dynamics.relocation_prob,
-                               as_double());
-      if (parsed.policy.dynamics.relocation_prob < 0 ||
-          parsed.policy.dynamics.relocation_prob > 1) {
-        return Status::InvalidArgument("relocation-prob=" + value +
-                                       ": a probability in [0, 1]");
-      }
-    } else if (key == "provider") {
-      CLOUDIA_RETURN_IF_ERROR(
-          service::ProviderProfileByName(value).status());
-      req.environment.provider = value;
-    } else if (key == "instances") {
-      CLOUDIA_ASSIGN_OR_RETURN(instances, as_int());
-    } else if (key == "env-seed") {
-      CLOUDIA_ASSIGN_OR_RETURN(int v, as_int());
-      req.environment.seed = static_cast<uint64_t>(v);
-    } else if (key == "protocol") {
-      if (value == "token") {
-        req.environment.protocol = measure::Protocol::kTokenPassing;
-      } else if (value == "uncoordinated") {
-        req.environment.protocol = measure::Protocol::kUncoordinated;
-      } else if (value == "staged") {
-        req.environment.protocol = measure::Protocol::kStaged;
-      } else {
-        return Status::InvalidArgument(
-            "unknown protocol '" + value +
-            "' (known: token, uncoordinated, staged)");
-      }
-    } else if (key == "metric") {
-      if (value == "mean") {
-        req.environment.metric = measure::CostMetric::kMean;
-      } else if (value == "mean-sd") {
-        req.environment.metric = measure::CostMetric::kMeanPlusStdDev;
-      } else if (value == "p99") {
-        req.environment.metric = measure::CostMetric::kP99;
-      } else {
-        return Status::InvalidArgument("unknown metric '" + value +
-                                       "' (known: mean, mean-sd, p99)");
-      }
-    } else if (key == "duration") {
-      CLOUDIA_ASSIGN_OR_RETURN(req.environment.measure_duration_s,
-                               as_double());
-    } else if (key == "probe-bytes") {
-      CLOUDIA_ASSIGN_OR_RETURN(req.environment.probe_bytes, as_double());
-    } else if (key == "graph") {
-      graph_name = value;
-    } else if (key == "nodes") {
-      CLOUDIA_ASSIGN_OR_RETURN(nodes, as_int());
-      // Validate before the template builders, whose CHECKs would abort
-      // the whole server on a bad line instead of skipping it.
-      if (nodes < 2) {
-        return Status::InvalidArgument("nodes=" + value +
-                                       ": a graph needs >= 2 nodes");
-      }
-    } else if (key == "method") {
-      // Validate now so a typo is reported with the available solver names
-      // instead of failing deep inside the service.
-      if (value != "auto" && !value.empty()) {
-        CLOUDIA_RETURN_IF_ERROR(
-            deploy::SolverRegistry::Global().Require(value).status());
-      }
-      req.solve.method = value;
-    } else if (key == "objective") {
-      CLOUDIA_ASSIGN_OR_RETURN(deploy::Objective primary,
-                               deploy::ParseObjective(value));
-      req.solve.objective.primary = primary;
-    } else if (key == "price-weight") {
-      CLOUDIA_ASSIGN_OR_RETURN(req.solve.objective.price_weight, as_double());
-      if (!std::isfinite(req.solve.objective.price_weight) ||
-          req.solve.objective.price_weight < 0) {
-        return Status::InvalidArgument(
-            "price-weight=" + value +
-            " is invalid: weights must be finite and >= 0 "
-            "(valid range: [0, inf))");
-      }
-    } else if (key == "migration-weight") {
-      CLOUDIA_ASSIGN_OR_RETURN(req.solve.objective.migration_weight,
-                               as_double());
-      if (!std::isfinite(req.solve.objective.migration_weight) ||
-          req.solve.objective.migration_weight < 0) {
-        return Status::InvalidArgument(
-            "migration-weight=" + value +
-            " is invalid: weights must be finite and >= 0 "
-            "(valid range: [0, inf))");
-      }
-    } else if (key == "budget") {
-      CLOUDIA_ASSIGN_OR_RETURN(req.solve.time_budget_s, as_double());
-    } else if (key == "clusters") {
-      CLOUDIA_ASSIGN_OR_RETURN(req.solve.cost_clusters, as_int());
-    } else if (key == "r1-samples") {
-      CLOUDIA_ASSIGN_OR_RETURN(req.solve.r1_samples, as_int());
-    } else if (key == "threads") {
-      CLOUDIA_ASSIGN_OR_RETURN(req.solve.threads, as_int());
-      if (req.solve.threads < 0) {
-        return Status::InvalidArgument(
-            "threads=" + value +
-            ": thread count cannot be negative (use 0 for the service's "
-            "budget)");
-      }
-    } else if (key == "portfolio") {
-      CLOUDIA_ASSIGN_OR_RETURN(
-          req.solve.portfolio_members,
-          deploy::ValidatePortfolioMembers(deploy::SolverRegistry::Global(),
-                                           SplitCommaList(value)));
-    } else if (key == "seed") {
-      CLOUDIA_ASSIGN_OR_RETURN(int v, as_int());
-      req.solve.seed = static_cast<uint64_t>(v);
-    } else if (key == "hier-clusters") {
-      CLOUDIA_ASSIGN_OR_RETURN(req.solve.hier_clusters, as_int());
-    } else if (key == "hier-shard-solver") {
-      // Same early validation as method=: typos surface with the solver list.
-      CLOUDIA_RETURN_IF_ERROR(
-          deploy::SolverRegistry::Global().Require(value).status());
-      req.solve.hier_shard_solver = value;
-    } else if (key == "hier-polish-steps") {
-      CLOUDIA_ASSIGN_OR_RETURN(req.solve.hier_polish_steps, as_int());
-    } else if (key == "priority") {
-      CLOUDIA_ASSIGN_OR_RETURN(req.priority, as_int());
-    } else if (key == "deadline") {
-      CLOUDIA_ASSIGN_OR_RETURN(req.deadline_s, as_double());
-    } else {
-      return Status::InvalidArgument("unknown request key '" + key + "'");
-    }
-  }
-
-  req.app = graphs.Get(graph_name, nodes);
-  nodes = req.app->num_nodes();
-  req.environment.instances =
-      instances > 0 ? instances : nodes + std::max(1, nodes / 10);
-  if (req.environment.instances < nodes) {
-    return Status::InvalidArgument(
-        "instances=" + std::to_string(req.environment.instances) +
-        " cannot hold the " + std::to_string(nodes) + "-node graph");
-  }
-  if (!parsed.is_redeploy && !redeploy_only_key.empty()) {
-    return Status::InvalidArgument(
-        "key '" + redeploy_only_key +
-        "' requires verb=redeploy (a deploy request would silently drop it)");
-  }
-  if (parsed.is_redeploy) {
-    parsed.redeploy.environment = req.environment;
-    parsed.redeploy.app = req.app;
-    parsed.redeploy.solve = req.solve;  // solve.objective governs the plans
-    if (!drift_seed_set) {
-      parsed.policy.dynamics.seed = req.environment.seed + 1;
-    }
-    const double hi = parsed.policy.dynamics.severity_hi;
-    parsed.policy.dynamics.severity_lo = 1.0 + 0.6 * (hi - 1.0);
-  }
-  return parsed;
-}
-
-// True when the line is exactly "verb=stats" (plus optional trailing
-// comment): a metrics snapshot point, not a request.
-bool IsStatsLine(const std::string& line) {
-  std::istringstream tokens(line);
-  std::string token;
-  if (!(tokens >> token) || token != "verb=stats") return false;
-  if (tokens >> token) return token[0] == '#';
-  return true;
+      "request line keys (whitespace-separated key=value; '#' comments;\n"
+      "[redeploy] = verb=redeploy lines only, which opt the environment into\n"
+      "online redeployment):\n%s",
+      service::RequestKeyUsage(/*cli=*/false).c_str());
 }
 
 }  // namespace
@@ -401,13 +77,27 @@ int main(int argc, char** argv) {
   auto capacity = flags->GetInt("cache-capacity", 8);
   auto ttl = flags->GetDouble("cache-ttl", 0.0);
   auto threshold = flags->GetInt("portfolio-threshold", 100);
-  if (!threads.ok() || !capacity.ok() || !ttl.ok() || !threshold.ok()) {
-    std::fprintf(stderr, "bad numeric flag\n");
-    return 2;
+  const Status valid_threads =
+      threads.ok() ? service::ValidateThreadCount("--threads", *threads)
+                   : threads.status();
+  for (const Status& status : {valid_threads, capacity.status(), ttl.status(),
+                               threshold.status()}) {
+    if (!status.ok()) {
+      std::fprintf(stderr, "%s\n", status.ToString().c_str());
+      return 2;
+    }
   }
-  if (!tools::ValidateThreads(*threads)) return 2;
   const bool batch = flags->GetBool("batch", false);
   const std::string path = flags->GetString("file", "-");
+  const std::string trace_path = flags->GetString("trace", "");
+  const std::string metrics_path = flags->GetString("metrics", "");
+  const std::string default_method = flags->GetString("default-method", "cp");
+  const std::vector<std::string> unknown = flags->UnqueriedFlags();
+  if (!unknown.empty()) {
+    std::fprintf(stderr, "unknown flag --%s (see --help)\n",
+                 unknown[0].c_str());
+    return 2;
+  }
 
   std::ifstream file;
   std::istream* in = &std::cin;
@@ -420,8 +110,6 @@ int main(int argc, char** argv) {
     in = &file;
   }
 
-  const std::string trace_path = flags->GetString("trace", "");
-  const std::string metrics_path = flags->GetString("metrics", "");
   // The registry is always attached (near-free when idle) so `verb=stats`
   // lines and --metrics have data; tracing stays opt-in via --trace.
   obs::MetricsRegistry registry;
@@ -432,13 +120,15 @@ int main(int argc, char** argv) {
   options.cache_capacity = static_cast<size_t>(*capacity);
   if (*ttl > 0) options.cache_ttl_s = *ttl;
   options.portfolio_node_threshold = static_cast<int>(*threshold);
-  options.default_method = flags->GetString("default-method", "cp");
+  options.default_method = default_method;
   options.start_paused = batch;
   options.obs.metrics = &registry;
   if (!trace_path.empty()) options.obs.tracer = &tracer;
   service::AdvisorService advisor(options);
 
-  GraphStore graphs;
+  // Every request's graph, alive for the service's lifetime (requests hold
+  // raw pointers; the service compares graphs by content, not address).
+  std::vector<std::shared_ptr<const graph::CommGraph>> graphs;
   // Results print in submission order; deploy and redeploy handles live in
   // separate vectors, `order` interleaves them.
   struct Submitted {
@@ -460,24 +150,22 @@ int main(int argc, char** argv) {
     // Skip blanks and comment lines.
     size_t first = line.find_first_not_of(" \t\r");
     if (first == std::string::npos || line[first] == '#') continue;
-    if (IsStatsLine(line)) {
-      order.push_back({Submitted::kStats, 0});
-      continue;
-    }
-    auto request = ParseRequestLine(line, graphs);
+    auto request = service::ParseRequestLine(line);
     if (!request.ok()) {
       std::fprintf(stderr, "line %d: %s\n", line_no,
                    request.status().ToString().c_str());
       ++parse_errors;
       continue;
     }
-    if (request->is_redeploy) {
+    if (request->verb == service::RequestVerb::kStats) {
+      order.push_back({Submitted::kStats, 0});
+    } else if (request->verb == service::RequestVerb::kRedeploy) {
       // The line is the environment's opt-in: register its drift policy.
       // Policies are per *environment* (last registration wins inside the
       // service), so in --batch mode a second line with different drift
       // knobs would silently re-scenario the first line's request -- fail
       // the conflicting line instead. Identical duplicates are fine.
-      const std::string env_key = request->redeploy.environment.Key();
+      const std::string env_key = request->environment.Key();
       auto [it, inserted] = redeploy_policies.try_emplace(
           env_key, std::make_pair(request->policy, line_no));
       if (!inserted && !(it->second.first == request->policy)) {
@@ -488,15 +176,26 @@ int main(int argc, char** argv) {
         ++parse_errors;
         continue;
       }
-      advisor.EnableRedeployment(request->redeploy.environment,
-                                 request->policy);
+      advisor.EnableRedeployment(request->environment, request->policy);
+      service::RedeployRequest redeploy;
+      redeploy.environment = request->environment;
+      redeploy.app = request->app.get();
+      redeploy.solve = request->solve;  // solve.objective governs the plans
+      redeploy.max_migrations = request->max_migrations;
+      redeploy.checks = request->checks;
       order.push_back({Submitted::kRedeploy, redeploy_handles.size()});
-      redeploy_handles.push_back(
-          advisor.SubmitRedeploy(std::move(request->redeploy)));
+      redeploy_handles.push_back(advisor.SubmitRedeploy(std::move(redeploy)));
     } else {
+      service::DeploymentRequest deploy;
+      deploy.environment = request->environment;
+      deploy.app = request->app.get();
+      deploy.solve = request->solve;
+      deploy.priority = request->priority;
+      deploy.deadline_s = request->deadline_s;
       order.push_back({Submitted::kDeploy, handles.size()});
-      handles.push_back(advisor.Submit(std::move(request->deploy)));
+      handles.push_back(advisor.Submit(std::move(deploy)));
     }
+    graphs.push_back(request->app);
   }
   if (batch) advisor.Resume();
 
