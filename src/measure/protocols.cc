@@ -1,10 +1,12 @@
 #include "measure/protocols.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/check.h"
 #include "common/rng.h"
 #include "measure/event_queue.h"
+#include "netsim/link_table.h"
 
 namespace cloudia::measure {
 
@@ -26,7 +28,30 @@ Status CancelledStatus(const char* protocol) {
                            " measurement aborted by its cancel token");
 }
 
+// The shared prologue of every protocol.
+Status CheckRun(const std::vector<net::Instance>& instances,
+                const ProtocolOptions& options) {
+  if (instances.size() < 2) {
+    return Status::InvalidArgument("need at least 2 instances");
+  }
+  return options.Validate();
+}
+
 }  // namespace
+
+Status ProtocolOptions::Validate() const {
+  if (!std::isfinite(duration_s) || duration_s <= 0) {
+    return Status::InvalidArgument(
+        "measurement duration_s must be finite and > 0");
+  }
+  if (!std::isfinite(msg_bytes) || msg_bytes < 0) {
+    return Status::InvalidArgument("probe msg_bytes must be finite and >= 0");
+  }
+  if (!std::isfinite(start_t_hours)) {
+    return Status::InvalidArgument("start_t_hours must be finite");
+  }
+  return Status::OK();
+}
 
 uint64_t MeasurementProtocolSeed(uint64_t seed) {
   uint64_t s = seed ^ 0x6d656173756572ULL;  // "measur"
@@ -53,8 +78,9 @@ Result<MeasurementResult> RunTokenPassing(
     const net::CloudSimulator& cloud,
     const std::vector<net::Instance>& instances,
     const ProtocolOptions& options) {
+  CLOUDIA_RETURN_IF_ERROR(CheckRun(instances, options));
   const int n = static_cast<int>(instances.size());
-  if (n < 2) return Status::InvalidArgument("need at least 2 instances");
+  const net::LinkTable links(cloud, instances);
   Rng rng(options.seed);
   MeasurementResult result(n);
   const double budget_ms = options.duration_s * 1e3;
@@ -79,16 +105,12 @@ Result<MeasurementResult> RunTokenPassing(
       if (options.cancel.Cancelled()) return CancelledStatus("token-passing");
       // Pass the token from the current holder to i (unless i holds it).
       if (holder != i) {
-        now += 0.5 * cloud.SampleRtt(instances[static_cast<size_t>(holder)],
-                                     instances[static_cast<size_t>(i)],
-                                     kTokenBytes,
-                                     HoursAt(options.start_t_hours, now), rng);
+        now += 0.5 * links.Sample(holder, i, kTokenBytes,
+                                  HoursAt(options.start_t_hours, now), rng);
         holder = i;
       }
-      double rtt = cloud.SampleRtt(instances[static_cast<size_t>(i)],
-                                   instances[static_cast<size_t>(j)],
-                                   options.msg_bytes,
-                                   HoursAt(options.start_t_hours, now), rng);
+      double rtt = links.Sample(i, j, options.msg_bytes,
+                                HoursAt(options.start_t_hours, now), rng);
       now += rtt;
       result.Link(i, j).Add(rtt, rng);
       result.NoteSample();
@@ -102,8 +124,9 @@ Result<MeasurementResult> RunUncoordinated(
     const net::CloudSimulator& cloud,
     const std::vector<net::Instance>& instances,
     const ProtocolOptions& options) {
+  CLOUDIA_RETURN_IF_ERROR(CheckRun(instances, options));
   const int n = static_cast<int>(instances.size());
-  if (n < 2) return Status::InvalidArgument("need at least 2 instances");
+  const net::LinkTable links(cloud, instances);
   Rng rng(options.seed);
   MeasurementResult result(n);
   EventQueue queue;
@@ -122,10 +145,9 @@ Result<MeasurementResult> RunUncoordinated(
     if (j >= i) ++j;
     double depart = std::max(queue.now_ms(), busy_until[static_cast<size_t>(i)]);
     busy_until[static_cast<size_t>(i)] = depart + occupy;
-    double base = cloud.SampleRtt(
-        instances[static_cast<size_t>(i)], instances[static_cast<size_t>(j)],
-        options.msg_bytes, HoursAt(options.start_t_hours, queue.now_ms()),
-        rng);
+    double base = links.Sample(
+        i, j, options.msg_bytes,
+        HoursAt(options.start_t_hours, queue.now_ms()), rng);
     double one_way = std::max(0.0, 0.5 * (base - occupy));
     // Probe arrives at j; waits while j is busy; j replies (occupying
     // itself); the reply flies back to i. A probe that found its target
@@ -162,9 +184,10 @@ Result<MeasurementResult> RunUncoordinated(
 Result<MeasurementResult> RunStaged(const net::CloudSimulator& cloud,
                                     const std::vector<net::Instance>& instances,
                                     const ProtocolOptions& options) {
+  CLOUDIA_RETURN_IF_ERROR(CheckRun(instances, options));
   const int n = static_cast<int>(instances.size());
-  if (n < 2) return Status::InvalidArgument("need at least 2 instances");
   if (options.ks < 1) return Status::InvalidArgument("ks must be >= 1");
+  const net::LinkTable links(cloud, instances);
   Rng rng(options.seed);
   MeasurementResult result(n);
   const double budget_ms = options.duration_s * 1e3;
@@ -195,10 +218,9 @@ Result<MeasurementResult> RunStaged(const net::CloudSimulator& cloud,
       if ((cycle + p) % 2 == 1) std::swap(i, j);  // alternate directions
       double pair_time = 0.0;
       for (int k = 0; k < options.ks; ++k) {
-        double rtt = cloud.SampleRtt(
-            instances[static_cast<size_t>(i)], instances[static_cast<size_t>(j)],
-            options.msg_bytes, HoursAt(options.start_t_hours, now + pair_time),
-            rng);
+        double rtt = links.Sample(
+            i, j, options.msg_bytes,
+            HoursAt(options.start_t_hours, now + pair_time), rng);
         pair_time += rtt;
         result.Link(i, j).Add(rtt, rng);
         result.NoteSample();
@@ -206,8 +228,8 @@ Result<MeasurementResult> RunStaged(const net::CloudSimulator& cloud,
       stage_time = std::max(stage_time, pair_time);
     }
     // Coordination overhead: notify + completion, pipelined across pairs.
-    stage_time += cloud.SampleRtt(instances[0], instances[1], kControlBytes,
-                                  HoursAt(options.start_t_hours, now), rng);
+    stage_time += links.Sample(0, 1, kControlBytes,
+                               HoursAt(options.start_t_hours, now), rng);
     now += stage_time;
     // Rotate the circle: position 0 fixed, the rest shift by one.
     std::rotate(circle.begin() + 1, circle.begin() + 2, circle.end());

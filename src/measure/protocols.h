@@ -37,6 +37,12 @@ struct ProtocolOptions {
   /// minutes-long step of a real run, so an abandoned request must be able
   /// to stop it mid-flight, not only at the next stage boundary.
   CancelToken cancel;
+
+  /// OK iff duration_s is finite and > 0, msg_bytes finite and >= 0, and
+  /// start_t_hours finite. Every protocol entry point checks this first, so
+  /// an infinite duration cannot spin a run until its cancel token trips and
+  /// a NaN one cannot return an empty run.
+  Status Validate() const;
 };
 
 /// Derives the protocol seed from a session/environment seed. Shared by
@@ -49,7 +55,9 @@ uint64_t MeasurementProtocolSeed(uint64_t seed);
 /// scaled linearly (Sect. 6.2).
 double DefaultMeasureDurationS(size_t instance_count);
 
-/// Runs the unique-token protocol. Fails on fewer than 2 instances.
+/// Runs the unique-token protocol. Fails on fewer than 2 instances or
+/// invalid options (as do the other protocols). Each run derives every
+/// link's parameters once, into a net::LinkTable it owns.
 Result<MeasurementResult> RunTokenPassing(
     const net::CloudSimulator& cloud,
     const std::vector<net::Instance>& instances,

@@ -116,34 +116,19 @@ void CloudSimulator::Terminate(const std::vector<Instance>& instances) {
 double CloudSimulator::ExpectedRtt(const Instance& a, const Instance& b,
                                    double msg_bytes, double t_hours) const {
   CLOUDIA_DCHECK(a.id != b.id);
-  int host_a = a.host;
-  int host_b = b.host;
-  double mult = 1.0;
-  if (dynamics_ != nullptr) {
-    // Relocation first: a live-migrated VM's links take the *new* path, and
-    // congestion applies to the path actually traversed at time t.
-    host_a = dynamics_->EffectiveHost(a.id, host_a, t_hours);
-    host_b = dynamics_->EffectiveHost(b.id, host_b, t_hours);
-    mult = dynamics_->LinkMultiplier(host_a, host_b, t_hours);
-  }
-  return mult * model_.ExpectedRtt(a.id, host_a, b.id, host_b, msg_bytes,
-                                   t_hours);
+  const LinkPath path = PathAt(a, b, t_hours);
+  return path.multiplier * model_.ExpectedRtt(a.id, path.host_a, b.id,
+                                              path.host_b, msg_bytes, t_hours);
 }
 
 double CloudSimulator::SampleRtt(const Instance& a, const Instance& b,
                                  double msg_bytes, double t_hours,
                                  Rng& rng) const {
   CLOUDIA_DCHECK(a.id != b.id);
-  int host_a = a.host;
-  int host_b = b.host;
-  double mult = 1.0;
-  if (dynamics_ != nullptr) {
-    host_a = dynamics_->EffectiveHost(a.id, host_a, t_hours);
-    host_b = dynamics_->EffectiveHost(b.id, host_b, t_hours);
-    mult = dynamics_->LinkMultiplier(host_a, host_b, t_hours);
-  }
-  return mult * model_.SampleRtt(a.id, host_a, b.id, host_b, msg_bytes,
-                                 t_hours, rng);
+  const LinkPath path = PathAt(a, b, t_hours);
+  return path.multiplier * model_.SampleRtt(a.id, path.host_a, b.id,
+                                            path.host_b, msg_bytes, t_hours,
+                                            rng);
 }
 
 int CloudSimulator::HopCount(const Instance& a, const Instance& b) const {

@@ -35,6 +35,13 @@ struct Instance {
 /// Renders an IPv4 address as dotted quad.
 std::string IpToString(uint32_t ip);
 
+/// The physical path an ordered link a->b takes at one instant.
+struct LinkPath {
+  int host_a = 0;  ///< where a runs (its allocation host unless relocated)
+  int host_b = 0;
+  double multiplier = 1.0;  ///< congestion factor on that path
+};
+
 /// A simulated cloud region for one provider profile.
 ///
 /// Placement mimics public-cloud behavior the paper observes: instances of an
@@ -60,6 +67,20 @@ class CloudSimulator {
     dynamics_ = dynamics;
   }
   const NetworkDynamics* dynamics() const { return dynamics_; }
+
+  /// Hosts and congestion of the ordered link a->b at `t_hours`: the
+  /// allocation hosts and multiplier 1 without dynamics; with dynamics,
+  /// relocation first (a live-migrated VM's links take the new path), then
+  /// the congestion of the path actually traversed.
+  LinkPath PathAt(const Instance& a, const Instance& b, double t_hours) const {
+    if (dynamics_ == nullptr) return {a.host, b.host, 1.0};
+    LinkPath path;
+    path.host_a = dynamics_->EffectiveHost(a.id, a.host, t_hours);
+    path.host_b = dynamics_->EffectiveHost(b.id, b.host, t_hours);
+    path.multiplier =
+        dynamics_->LinkMultiplier(path.host_a, path.host_b, t_hours);
+    return path;
+  }
 
   /// Mean RTT of the ordered link a->b (ms) for `msg_bytes` messages at
   /// absolute time `t_hours`; this is the ground truth the measurement

@@ -30,7 +30,11 @@ uint64_t Combine(uint64_t a, uint64_t b) {
 
 LatencyModel::LatencyModel(const ProviderProfile& profile,
                            const Topology& topology, uint64_t seed)
-    : profile_(profile), topology_(&topology), seed_(seed) {}
+    : profile_(profile),
+      topology_(&topology),
+      seed_(seed),
+      drift_w1_(2.0 * std::numbers::pi / profile_.drift_period1_h),
+      drift_w2_(2.0 * std::numbers::pi / profile_.drift_period2_h) {}
 
 double LatencyModel::HashUniform(uint64_t key) const {
   uint64_t s = Combine(seed_, key);
@@ -127,11 +131,9 @@ double LatencyModel::BurstAt(const LinkParams& link, double t_hours) const {
 
 double LatencyModel::DriftMultiplier(const LinkParams& link,
                                      double t_hours) const {
-  const double w1 = 2.0 * std::numbers::pi / profile_.drift_period1_h;
-  const double w2 = 2.0 * std::numbers::pi / profile_.drift_period2_h;
   return 1.0 + profile_.drift_amplitude *
-                   (0.65 * std::sin(w1 * t_hours + link.drift_phase1) +
-                    0.35 * std::sin(w2 * t_hours + link.drift_phase2));
+                   (0.65 * std::sin(drift_w1_ * t_hours + link.drift_phase1) +
+                    0.35 * std::sin(drift_w2_ * t_hours + link.drift_phase2));
 }
 
 double LatencyModel::SerializationMs(double msg_bytes) const {
@@ -153,12 +155,16 @@ double LatencyModel::ExpectedRtt(int vm_a, int host_a, int vm_b, int host_b,
 double LatencyModel::SampleRtt(int vm_a, int host_a, int vm_b, int host_b,
                                double msg_bytes, double t_hours,
                                Rng& rng) const {
-  LinkParams lp = Link(vm_a, host_a, vm_b, host_b);
-  double rtt = lp.static_mean_ms * DriftMultiplier(lp, t_hours);
+  return SampleRtt(Link(vm_a, host_a, vm_b, host_b), msg_bytes, t_hours, rng);
+}
+
+double LatencyModel::SampleRtt(const LinkParams& link, double msg_bytes,
+                               double t_hours, Rng& rng) const {
+  double rtt = link.static_mean_ms * DriftMultiplier(link, t_hours);
   rtt += 2.0 * SerializationMs(msg_bytes);
   rtt += 2.0 * profile_.per_message_overhead_ms;
-  rtt += rng.Exponential(1.0 / lp.jitter_scale_ms);
-  rtt += BurstAt(lp, t_hours);
+  rtt += rng.Exponential(1.0 / link.jitter_scale_ms);
+  rtt += BurstAt(link, t_hours);
   return rtt;
 }
 

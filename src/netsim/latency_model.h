@@ -27,7 +27,8 @@
 
 namespace cloudia::net {
 
-/// Static per-ordered-link parameters (derived, not stored).
+/// Static per-ordered-link parameters (derived on demand by
+/// LatencyModel::Link; a net::LinkTable keeps them for one protocol run).
 struct LinkParams {
   double static_mean_ms = 0.0;  ///< mean RTT at t=0 for 0-byte messages
   double jitter_scale_ms = 0.0; ///< mean of the exponential jitter term
@@ -51,9 +52,14 @@ class LatencyModel {
   double ExpectedRtt(int vm_a, int host_a, int vm_b, int host_b,
                      double msg_bytes, double t_hours) const;
 
-  /// One stochastic RTT sample (ms).
+  /// One stochastic RTT sample (ms): SampleRtt(Link(...), ...).
   double SampleRtt(int vm_a, int host_a, int vm_b, int host_b,
                    double msg_bytes, double t_hours, Rng& rng) const;
+
+  /// One stochastic RTT sample (ms) of a link whose parameters were derived
+  /// already (see net::LinkTable). The one sampling formula.
+  double SampleRtt(const LinkParams& link, double msg_bytes, double t_hours,
+                   Rng& rng) const;
 
   /// One-way wire time for `msg_bytes` (ms), used by the interference model.
   double SerializationMs(double msg_bytes) const;
@@ -77,6 +83,9 @@ class LatencyModel {
   ProviderProfile profile_;
   const Topology* topology_;
   uint64_t seed_;
+  // Angular frequencies (rad/h) of the two drift components.
+  double drift_w1_;
+  double drift_w2_;
 };
 
 }  // namespace cloudia::net

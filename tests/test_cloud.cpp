@@ -5,6 +5,8 @@
 
 #include "common/stats.h"
 #include "netsim/cloud.h"
+#include "netsim/dynamics.h"
+#include "netsim/link_table.h"
 
 namespace cloudia::net {
 namespace {
@@ -208,6 +210,47 @@ TEST(CloudTest, DeterministicAcrossIdenticalSeeds) {
   }
   EXPECT_DOUBLE_EQ(c1.ExpectedRtt((*a1)[0], (*a1)[1]),
                    c2.ExpectedRtt((*a2)[0], (*a2)[1]));
+}
+
+// A table sample is the simulator's sample, bit for bit: on a static
+// cloud, and under dynamics both before relocation (table entry) and after
+// it (the fallback derives the link on the effective hosts).
+TEST(LinkTableTest, SampleMatchesCloudSampleRttBitForBit) {
+  CloudSimulator cloud(AmazonEc2Profile(), 11);
+  auto alloc = cloud.Allocate(12);
+  ASSERT_TRUE(alloc.ok());
+  const std::vector<Instance>& pool = *alloc;
+  const LinkTable table(cloud, pool);
+  DynamicsConfig config;
+  config.start_hours = 1.0;
+  config.episode_rate = 0.3;
+  config.relocation_prob = 0.5;
+  NetworkDynamics dynamics(config, &cloud.topology());
+  int relocated_links = 0;
+  const NetworkDynamics* overlays[] = {nullptr, &dynamics};
+  for (const NetworkDynamics* attached : overlays) {
+    cloud.AttachDynamics(attached);
+    for (double t : {0.5, 1.5}) {
+      Rng via_table(3), via_cloud(3);
+      for (int i = 0; i < 12; ++i) {
+        for (int j = 0; j < 12; ++j) {
+          if (i == j) continue;
+          const Instance& a = pool[static_cast<size_t>(i)];
+          const Instance& b = pool[static_cast<size_t>(j)];
+          if (attached != nullptr &&
+              (dynamics.Relocated(a.id, a.host, t) ||
+               dynamics.Relocated(b.id, b.host, t))) {
+            ++relocated_links;
+          }
+          EXPECT_EQ(table.Sample(i, j, 1024, t, via_table),
+                    cloud.SampleRtt(a, b, 1024, t, via_cloud))
+              << i << "->" << j << " at " << t;
+        }
+      }
+    }
+  }
+  cloud.AttachDynamics(nullptr);
+  EXPECT_GT(relocated_links, 0);
 }
 
 }  // namespace

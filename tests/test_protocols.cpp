@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <thread>
+#include <vector>
 
 #include "common/stats.h"
 #include "measure/protocols.h"
+#include "netsim/dynamics.h"
 
 namespace cloudia::measure {
 namespace {
@@ -64,6 +68,102 @@ TEST_F(ProtocolsTest, AllProtocolsAbortOnCancelledToken) {
     ASSERT_FALSE(r.ok()) << ProtocolName(protocol);
     EXPECT_EQ(r.status().code(), StatusCode::kCancelled)
         << ProtocolName(protocol) << ": " << r.status().ToString();
+  }
+}
+
+// Invalid options fail with InvalidArgument before any probe: an infinite
+// duration would otherwise spin until the cancel token trips, and a NaN one
+// would return an empty run that then fails the coverage check.
+TEST_F(ProtocolsTest, AllProtocolsRejectInvalidOptions) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<std::pair<const char*, ProtocolOptions>> bad;
+  for (double d : {inf, -inf, nan, 0.0, -1.0}) {
+    ProtocolOptions o;
+    o.duration_s = d;
+    bad.push_back({"duration_s", o});
+  }
+  for (double b : {-1.0, inf, nan}) {
+    ProtocolOptions o;
+    o.msg_bytes = b;
+    bad.push_back({"msg_bytes", o});
+  }
+  for (double t : {inf, -inf, nan}) {
+    ProtocolOptions o;
+    o.start_t_hours = t;
+    bad.push_back({"start_t_hours", o});
+  }
+  using Runner = Result<MeasurementResult> (*)(
+      const net::CloudSimulator&, const std::vector<net::Instance>&,
+      const ProtocolOptions&);
+  const std::pair<const char*, Runner> runners[] = {
+      {"RunTokenPassing", &RunTokenPassing},
+      {"RunUncoordinated", &RunUncoordinated},
+      {"RunStaged", &RunStaged},
+  };
+  for (const auto& [field, options] : bad) {
+    EXPECT_EQ(options.Validate().code(), StatusCode::kInvalidArgument)
+        << field;
+    for (Protocol protocol : {Protocol::kTokenPassing,
+                              Protocol::kUncoordinated, Protocol::kStaged}) {
+      auto r = RunProtocol(cloud_, instances_, protocol, options);
+      ASSERT_FALSE(r.ok()) << field << " " << ProtocolName(protocol);
+      EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument)
+          << r.status().ToString();
+    }
+    for (const auto& [name, run] : runners) {
+      auto r = run(cloud_, instances_, options);
+      ASSERT_FALSE(r.ok()) << field << " " << name;
+      EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument)
+          << r.status().ToString();
+    }
+  }
+  // The boundary values stay valid: 0-byte probes, negative start hours.
+  ProtocolOptions edge;
+  edge.duration_s = 1.0;
+  edge.msg_bytes = 0.0;
+  edge.start_t_hours = -3.0;
+  EXPECT_TRUE(edge.Validate().ok());
+  EXPECT_TRUE(RunStaged(cloud_, instances_, edge).ok());
+}
+
+// Protocol runs share the simulator as const (the service's workers do):
+// concurrent staged runs with dynamics attached must not race and must
+// measure bit-identical matrices.
+TEST_F(ProtocolsTest, ConcurrentStagedRunsOnOneCloudAreIdentical) {
+  net::DynamicsConfig config;
+  config.start_hours = 2.0 / 3600.0;  // relocations start mid-run
+  config.episode_rate = 0.3;
+  config.relocation_prob = 0.3;
+  net::NetworkDynamics dynamics(config, &cloud_.topology());
+  cloud_.AttachDynamics(&dynamics);
+  const net::CloudSimulator& cloud = cloud_;
+  ProtocolOptions opts;
+  opts.duration_s = 4;
+  opts.seed = 23;
+  constexpr int kThreads = 4;
+  std::vector<Result<deploy::CostMatrix>> matrices(
+      kThreads, Status::Internal("not run"));
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      auto r = RunStaged(cloud, instances_, opts);
+      matrices[static_cast<size_t>(t)] =
+          r.ok() ? BuildCostMatrix(*r, CostMetric::kMean)
+                 : Result<deploy::CostMatrix>(r.status());
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  cloud_.AttachDynamics(nullptr);
+  for (int t = 0; t < kThreads; ++t) {
+    const auto& m = matrices[static_cast<size_t>(t)];
+    ASSERT_TRUE(m.ok()) << m.status().ToString();
+    for (int i = 0; i < m->size(); ++i) {
+      for (int j = 0; j < m->size(); ++j) {
+        ASSERT_EQ(m->At(i, j), matrices[0]->At(i, j))
+            << "thread " << t << " link " << i << "->" << j;
+      }
+    }
   }
 }
 

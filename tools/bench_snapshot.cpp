@@ -22,12 +22,18 @@
 // Only metrics sharing a name are compared, and names embed their
 // configuration (e.g. "hier.q256.ratio"), so snapshots taken at different
 // settings simply do not intersect instead of comparing apples to oranges.
-// The legacy BENCH_6.json (pre-unified hier-only schema) is understood as a
-// baseline via a read-time shim.
+//
+// Micro-kernel times are gated on absolute nanoseconds, so the run mode
+// executes bench_micro_kernels several times back to back and keeps each
+// "ns" metric's minimum (noise only ever adds time) and every other
+// metric's median. A rep is a whole pass over all kernels, so the reps of
+// one kernel interleave with the others' and CPU-frequency drift hits all
+// kernels alike.
 //
 // Flags: --bench-dir=DIR (default "bench"), --out=PATH (default "-"),
 // --merge=CSV, --current=PATH, --check, --baseline=PATH, --tolerance=F,
 // --skip=CSV (bench names to not run).
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <cstdio>
@@ -193,29 +199,6 @@ bool ReadFile(const std::string& path, std::string* out) {
   return true;
 }
 
-// Legacy pre-unified BENCH_6.json: hier-only, quality/pass fields at the top
-// level. Mapped onto the same metric names bench_hier_scalability emits
-// today so BENCH_6 keeps working as a --baseline.
-void ShimLegacyHier(const Json& root, std::vector<Metric>* out) {
-  if (const Json* quality = root.Find("quality")) {
-    for (const Json& q : quality->items) {
-      const Json* n = q.Find("n");
-      const Json* ratio = q.Find("ratio");
-      if (n == nullptr || ratio == nullptr) continue;
-      out->push_back({"hier.q" + std::to_string(static_cast<int>(n->number)) +
-                          ".ratio",
-                      ratio->number, "x", "lower"});
-    }
-  }
-  if (const Json* det = root.Find("deterministic")) {
-    out->push_back({"hier.deterministic", det->boolean ? 1.0 : 0.0, "bool",
-                    "near"});
-  }
-  if (const Json* pass = root.Find("pass")) {
-    out->push_back({"hier.pass", pass->boolean ? 1.0 : 0.0, "bool", "near"});
-  }
-}
-
 bool ReadMetricsFile(const std::string& path, std::vector<Metric>* out) {
   std::string text;
   if (!ReadFile(path, &text)) {
@@ -229,8 +212,9 @@ bool ReadMetricsFile(const std::string& path, std::vector<Metric>* out) {
   }
   const Json* metrics = root.Find("metrics");
   if (metrics == nullptr) {
-    ShimLegacyHier(root, out);
-    return true;
+    std::fprintf(stderr, "error: %s has no \"metrics\" array\n",
+                 path.c_str());
+    return false;
   }
   for (const Json& m : metrics->items) {
     const Json* name = m.Find("name");
@@ -334,21 +318,42 @@ bool Contains(const std::vector<std::string>& v, const std::string& s) {
   return false;
 }
 
+// Folds the reps of one bench into one metric list, in the first rep's
+// order: the min of each "ns" metric, the median of every other one.
+std::vector<Metric> CombineReps(const std::vector<std::vector<Metric>>& reps) {
+  std::vector<Metric> out;
+  for (const Metric& first : reps.front()) {
+    std::vector<double> values;
+    for (const std::vector<Metric>& rep : reps) {
+      if (const Metric* m = FindMetric(rep, first.name)) {
+        values.push_back(m->value);
+      }
+    }
+    std::sort(values.begin(), values.end());
+    Metric combined = first;
+    combined.value =
+        first.unit == "ns" ? values.front() : values[values.size() / 2];
+    out.push_back(combined);
+  }
+  return out;
+}
+
 // The pinned smoke configuration: small enough for CI, identical across
 // runs so snapshot metrics stay comparable by name.
 struct BenchSpec {
   const char* name;
   const char* smoke_args;
+  int reps;
 };
 
 constexpr BenchSpec kBenches[] = {
-    {"bench_micro_kernels", "--benchmark_min_time=0.05"},
-    {"bench_service_throughput", "--requests=24 --duration=15"},
-    {"bench_redeploy", "--checks=8 --duration=20"},
+    {"bench_micro_kernels", "--benchmark_min_time=0.05", 5},
+    {"bench_service_throughput", "--requests=24 --duration=15", 1},
+    {"bench_redeploy", "--checks=8 --duration=20", 1},
     {"bench_hier_scalability",
-     "--sizes=512,2000 --quality-sizes=256 --budget=5"},
-    {"bench_pareto_frontier", "--nodes=16 --budget=3 --threads=1"},
-    {"bench_obs_overhead", "--iters=2000000 --reps=5"},
+     "--sizes=512,2000 --quality-sizes=256 --budget=5", 1},
+    {"bench_pareto_frontier", "--nodes=16 --budget=3 --threads=1", 1},
+    {"bench_obs_overhead", "--iters=2000000 --reps=5", 1},
 };
 
 }  // namespace
@@ -387,15 +392,20 @@ int main(int argc, char** argv) {
           spec.name + ".part.json";
       const std::string cmd = bench_dir + "/" + spec.name + " " +
                               spec.smoke_args + " --json=" + part;
-      std::printf("== %s\n", cmd.c_str());
-      std::fflush(stdout);
-      const int rc = std::system(cmd.c_str());
-      if (rc != 0) {
-        std::fprintf(stderr, "error: '%s' exited with %d\n", cmd.c_str(), rc);
-        return 2;
+      std::vector<std::vector<Metric>> reps(static_cast<size_t>(spec.reps));
+      for (std::vector<Metric>& rep : reps) {
+        std::printf("== %s\n", cmd.c_str());
+        std::fflush(stdout);
+        const int rc = std::system(cmd.c_str());
+        if (rc != 0) {
+          std::fprintf(stderr, "error: '%s' exited with %d\n", cmd.c_str(),
+                       rc);
+          return 2;
+        }
+        if (!ReadMetricsFile(part, &rep)) return 2;
+        std::remove(part.c_str());
       }
-      if (!ReadMetricsFile(part, &current)) return 2;
-      std::remove(part.c_str());
+      for (const Metric& m : CombineReps(reps)) current.push_back(m);
     }
   }
 
