@@ -2,10 +2,12 @@
 // instances (10% over-allocation -> 45 application nodes).
 #include <cstdio>
 #include <map>
+#include <string>
 
 #include "bench_util.h"
 #include "common/table.h"
 #include "deploy/solve.h"
+#include "deploy/solver_registry.h"
 #include "graph/templates.h"
 
 int main() {
@@ -21,10 +23,8 @@ int main() {
   const int allocations = 20;
   graph::CommGraph mesh = graph::Mesh2D(5, 9);  // 45 nodes
 
-  std::map<deploy::Method, double> total;
-  const deploy::Method methods[] = {
-      deploy::Method::kGreedyG1, deploy::Method::kGreedyG2,
-      deploy::Method::kRandomR1, deploy::Method::kRandomR2, deploy::Method::kCp};
+  std::map<std::string, double> total;
+  const char* const methods[] = {"g1", "g2", "r1", "r2", "cp"};
 
   for (int a = 0; a < allocations; ++a) {
     bench::CloudFixture fx(net::AmazonEc2Profile(),
@@ -32,15 +32,16 @@ int main() {
     deploy::CostMatrix costs = bench::MeasuredMeanCosts(
         fx.cloud, fx.instances, bench::ScaledSeconds(150, 5),
         9000 + static_cast<uint64_t>(a));
-    for (deploy::Method method : methods) {
+    for (const std::string method : methods) {
       deploy::NdpSolveOptions opts;
       opts.objective = deploy::Objective::kLongestLink;
-      opts.method = method;
       opts.time_budget_s = budget;
-      opts.cost_clusters = method == deploy::Method::kCp ? 20 : 0;
+      opts.cost_clusters = method == "cp" ? 20 : 0;
       opts.r1_samples = 1000;
       opts.seed = static_cast<uint64_t>(a) * 31 + 7;
-      auto r = deploy::SolveNodeDeployment(mesh, costs, opts);
+      deploy::SolveContext context(Deadline::After(budget));
+      auto r = deploy::SolveNodeDeploymentByName(mesh, costs, method, opts,
+                                                 context);
       CLOUDIA_CHECK(r.ok());
       total[method] += r->cost;
     }
@@ -48,10 +49,11 @@ int main() {
   }
 
   TextTable t({"method", "avg longest-link latency[ms]", "vs CP[%]"});
-  double cp_avg = total[deploy::Method::kCp] / allocations;
-  for (deploy::Method method : methods) {
+  double cp_avg = total["cp"] / allocations;
+  for (const std::string method : methods) {
     double avg = total[method] / allocations;
-    t.AddRow({deploy::MethodName(method), StrFormat("%.4f", avg),
+    t.AddRow({deploy::SolverRegistry::Global().Find(method)->display_name(),
+              StrFormat("%.4f", avg),
               StrFormat("%+.2f", 100.0 * (avg - cp_avg) / cp_avg)});
   }
   std::printf("\n%s", t.ToString().c_str());

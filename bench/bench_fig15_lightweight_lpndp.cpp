@@ -3,10 +3,12 @@
 // proves optimality while R2 misses it on a good fraction of allocations.
 #include <cstdio>
 #include <map>
+#include <string>
 
 #include "bench_util.h"
 #include "common/table.h"
 #include "deploy/solve.h"
+#include "deploy/solver_registry.h"
 #include "graph/templates.h"
 
 int main() {
@@ -22,11 +24,8 @@ int main() {
   const int allocations = 20;
   graph::CommGraph tree = graph::AggregationTree(3, 4);  // 40 nodes
 
-  std::map<deploy::Method, double> total;
-  const deploy::Method methods[] = {
-      deploy::Method::kGreedyG1, deploy::Method::kGreedyG2,
-      deploy::Method::kRandomR1, deploy::Method::kRandomR2,
-      deploy::Method::kMip};
+  std::map<std::string, double> total;
+  const char* const methods[] = {"g1", "g2", "r1", "r2", "mip"};
 
   for (int a = 0; a < allocations; ++a) {
     bench::CloudFixture fx(net::AmazonEc2Profile(),
@@ -34,15 +33,16 @@ int main() {
     deploy::CostMatrix costs = bench::MeasuredMeanCosts(
         fx.cloud, fx.instances, bench::ScaledSeconds(150, 5),
         9500 + static_cast<uint64_t>(a));
-    for (deploy::Method method : methods) {
+    for (const std::string method : methods) {
       deploy::NdpSolveOptions opts;
       opts.objective = deploy::Objective::kLongestPath;
-      opts.method = method;
       opts.time_budget_s = budget;
       opts.cost_clusters = 0;  // paper: no clustering for LPNDP
       opts.r1_samples = 1000;
       opts.seed = static_cast<uint64_t>(a) * 37 + 11;
-      auto r = deploy::SolveNodeDeployment(tree, costs, opts);
+      deploy::SolveContext context(Deadline::After(budget));
+      auto r = deploy::SolveNodeDeploymentByName(tree, costs, method, opts,
+                                                 context);
       CLOUDIA_CHECK(r.ok());
       total[method] += r->cost;
     }
@@ -50,10 +50,11 @@ int main() {
   }
 
   TextTable t({"method", "avg longest-path latency[ms]", "vs MIP[%]"});
-  double mip_avg = total[deploy::Method::kMip] / allocations;
-  for (deploy::Method method : methods) {
+  double mip_avg = total["mip"] / allocations;
+  for (const std::string method : methods) {
     double avg = total[method] / allocations;
-    t.AddRow({deploy::MethodName(method), StrFormat("%.4f", avg),
+    t.AddRow({deploy::SolverRegistry::Global().Find(method)->display_name(),
+              StrFormat("%.4f", avg),
               StrFormat("%+.2f", 100.0 * (avg - mip_avg) / mip_avg)});
   }
   std::printf("\n%s", t.ToString().c_str());
@@ -71,12 +72,14 @@ int main() {
         9700 + static_cast<uint64_t>(a));
     deploy::NdpSolveOptions opts;
     opts.objective = deploy::Objective::kLongestPath;
-    opts.method = deploy::Method::kMip;
     opts.time_budget_s = std::min(budget, 6.0);
     opts.seed = static_cast<uint64_t>(a);
-    auto mip = deploy::SolveNodeDeployment(small_tree, costs, opts);
-    opts.method = deploy::Method::kRandomR2;
-    auto r2 = deploy::SolveNodeDeployment(small_tree, costs, opts);
+    deploy::SolveContext mip_context(Deadline::After(opts.time_budget_s));
+    auto mip = deploy::SolveNodeDeploymentByName(small_tree, costs, "mip",
+                                                 opts, mip_context);
+    deploy::SolveContext r2_context(Deadline::After(opts.time_budget_s));
+    auto r2 = deploy::SolveNodeDeploymentByName(small_tree, costs, "r2", opts,
+                                                r2_context);
     CLOUDIA_CHECK(mip.ok() && r2.ok());
     mip_optimal += mip->proven_optimal ? 1 : 0;
     r2_suboptimal += (r2->cost > mip->cost + 1e-9) ? 1 : 0;

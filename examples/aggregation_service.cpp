@@ -6,8 +6,9 @@
 //   $ ./build/examples/aggregation_service [seed]
 #include <cstdio>
 #include <cstdlib>
+#include <vector>
 
-#include "cloudia/advisor.h"
+#include "cloudia/session.h"
 #include "graph/templates.h"
 #include "workloads/aggregation.h"
 
@@ -18,30 +19,50 @@ int main(int argc, char** argv) {
   std::printf("aggregation tree: %d nodes, %d edges\n", tree.num_nodes(),
               tree.num_edges());
 
-  cloudia::AdvisorConfig config;
-  config.objective = cloudia::deploy::Objective::kLongestPath;
-  config.method = cloudia::deploy::Method::kMip;
-  config.cost_clusters = 0;  // clustering does not help LPNDP (paper Fig. 9)
-  config.search_budget_s = 10.0;
-  config.measure_duration_s = 90.0;
-  config.seed = seed;
+  cloudia::SessionOptions options;
+  options.measure_duration_s = 90.0;
+  options.seed = seed;
+  cloudia::DeploymentSession session(&cloud, &tree, options);
 
-  cloudia::Advisor advisor(&cloud, config);
-  auto report = advisor.Run(tree);
-  if (!report.ok()) {
-    std::fprintf(stderr, "advisor failed: %s\n",
-                 report.status().ToString().c_str());
+  cloudia::SolveSpec spec;
+  spec.method = "mip";
+  spec.objective = cloudia::deploy::Objective::kLongestPath;
+  spec.cost_clusters = 0;  // clustering does not help LPNDP (paper Fig. 9)
+  spec.time_budget_s = 10.0;
+  spec.seed = seed;
+  auto solve = session.Solve(spec);
+  if (!solve.ok()) {
+    std::fprintf(stderr, "solve failed: %s\n",
+                 solve.status().ToString().c_str());
     return 1;
   }
-  std::printf("%s\n", report->ToString().c_str());
+  auto terminated = session.Terminate(*solve);
+  if (!terminated.ok()) {
+    std::fprintf(stderr, "terminate failed: %s\n",
+                 terminated.status().ToString().c_str());
+    return 1;
+  }
+  // The baseline the paper compares against: node i on allocated()[i].
+  const std::vector<cloudia::net::Instance> default_placement(
+      session.allocated().begin(),
+      session.allocated().begin() + tree.num_nodes());
+  std::printf("allocated %zu instances, measured %.1f virtual s, terminated "
+              "%zu extras\n",
+              session.allocated().size(), session.measure_virtual_s(),
+              terminated->size());
+  std::printf("deployment cost: default %.4f ms, optimized %.4f ms%s "
+              "(predicted reduction %.1f %%)\n\n",
+              solve->default_cost_ms, solve->cost_ms,
+              solve->result.proven_optimal ? " (proven optimal)" : "",
+              100.0 * solve->predicted_improvement);
 
   cloudia::wl::AggregationConfig q;
   q.queries = 2000;
   q.seed = seed + 100;
   auto tuned =
-      cloudia::wl::RunAggregationQueries(cloud, tree, report->placement, q);
+      cloudia::wl::RunAggregationQueries(cloud, tree, solve->placement, q);
   auto fallback = cloudia::wl::RunAggregationQueries(
-      cloud, tree, report->default_placement, q);
+      cloud, tree, default_placement, q);
   if (!tuned.ok() || !fallback.ok()) {
     std::fprintf(stderr, "query simulation failed\n");
     return 1;

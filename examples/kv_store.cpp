@@ -6,8 +6,9 @@
 //   $ ./build/examples/kv_store [seed]
 #include <cstdio>
 #include <cstdlib>
+#include <vector>
 
-#include "cloudia/advisor.h"
+#include "cloudia/session.h"
 #include "graph/templates.h"
 #include "workloads/kvstore.h"
 
@@ -16,30 +17,50 @@ int main(int argc, char** argv) {
   cloudia::net::CloudSimulator cloud(cloudia::net::AmazonEc2Profile(), seed);
   cloudia::graph::CommGraph store = cloudia::graph::Bipartite(10, 90);
 
-  cloudia::AdvisorConfig config;
-  config.objective = cloudia::deploy::Objective::kLongestLink;
-  config.method = cloudia::deploy::Method::kCp;
-  config.cost_clusters = 20;
-  config.search_budget_s = 10.0;
-  config.measure_duration_s = 120.0;
-  config.seed = seed;
+  cloudia::SessionOptions options;
+  options.measure_duration_s = 120.0;
+  options.seed = seed;
+  cloudia::DeploymentSession session(&cloud, &store, options);
 
-  cloudia::Advisor advisor(&cloud, config);
-  auto report = advisor.Run(store);
-  if (!report.ok()) {
-    std::fprintf(stderr, "advisor failed: %s\n",
-                 report.status().ToString().c_str());
+  cloudia::SolveSpec spec;
+  spec.method = "cp";
+  spec.objective = cloudia::deploy::Objective::kLongestLink;
+  spec.cost_clusters = 20;
+  spec.time_budget_s = 10.0;
+  spec.seed = seed;
+  auto solve = session.Solve(spec);
+  if (!solve.ok()) {
+    std::fprintf(stderr, "solve failed: %s\n",
+                 solve.status().ToString().c_str());
     return 1;
   }
-  std::printf("%s\n", report->ToString().c_str());
+  auto terminated = session.Terminate(*solve);
+  if (!terminated.ok()) {
+    std::fprintf(stderr, "terminate failed: %s\n",
+                 terminated.status().ToString().c_str());
+    return 1;
+  }
+  // The baseline the paper compares against: node i on allocated()[i].
+  const std::vector<cloudia::net::Instance> default_placement(
+      session.allocated().begin(),
+      session.allocated().begin() + store.num_nodes());
+  std::printf("allocated %zu instances, measured %.1f virtual s, terminated "
+              "%zu extras\n",
+              session.allocated().size(), session.measure_virtual_s(),
+              terminated->size());
+  std::printf("deployment cost: default %.4f ms, optimized %.4f ms%s "
+              "(predicted reduction %.1f %%)\n\n",
+              solve->default_cost_ms, solve->cost_ms,
+              solve->result.proven_optimal ? " (proven optimal)" : "",
+              100.0 * solve->predicted_improvement);
 
   cloudia::wl::KvStoreConfig q;
   q.queries = 4000;
   q.touched_per_query = 16;
   q.seed = seed + 100;
-  auto tuned = cloudia::wl::RunKvStoreQueries(cloud, store, report->placement, q);
+  auto tuned = cloudia::wl::RunKvStoreQueries(cloud, store, solve->placement, q);
   auto fallback =
-      cloudia::wl::RunKvStoreQueries(cloud, store, report->default_placement, q);
+      cloudia::wl::RunKvStoreQueries(cloud, store, default_placement, q);
   if (!tuned.ok() || !fallback.ok()) {
     std::fprintf(stderr, "query simulation failed\n");
     return 1;

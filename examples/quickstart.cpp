@@ -4,10 +4,6 @@
 // three registered methods and keep the best plan.
 //
 //   $ ./build/examples/quickstart [seed]
-//
-// The one-shot equivalent, when a single method is enough:
-//   cloudia::Advisor advisor(&cloud, config);
-//   auto report = advisor.Run(app);
 #include <cstdio>
 #include <cstdlib>
 

@@ -22,9 +22,6 @@
 //     // solve->cost_ms, solve->placement, solve->predicted_improvement ...
 //   }
 //   auto terminated = session.Terminate();          // keeps the best plan
-//
-// The one-shot cloudia::Advisor (cloudia/advisor.h) is a thin wrapper over
-// this class for callers who want the whole pipeline in a single call.
 #ifndef CLOUDIA_CLOUDIA_SESSION_H_
 #define CLOUDIA_CLOUDIA_SESSION_H_
 

@@ -5,10 +5,11 @@
 // formulated for LLNDP, Sect. 4.4; greedy solves LLNDP and serves as a
 // heuristic for LPNDP, Sect. 4.5.2).
 //
-// The Method enum names the built-in solvers for call sites that prefer an
-// enum over a registry name; dispatch itself is name-based, so solvers
-// registered at startup beyond this enum are reachable via the registry and
-// the staged cloudia::DeploymentSession without touching this facade.
+// Dispatch is name-based: call SolveNodeDeploymentByName with a registry name
+// ("cp", "g2", ...) and a SolveContext, or go through the staged
+// cloudia::DeploymentSession. The Method enum and its overloads remain only
+// because advbench/driver.cc still calls them; new code names solvers by
+// registry key.
 #ifndef CLOUDIA_DEPLOY_SOLVE_H_
 #define CLOUDIA_DEPLOY_SOLVE_H_
 
@@ -41,10 +42,6 @@ enum class Method {
   /// parallel, polish the seams (hier/solver.h). Works for both objectives.
   kHier,
 };
-
-/// Display name ("G1", "CP", "LocalSearch"); round-trips with ParseMethod
-/// (deploy/solver_registry.h).
-const char* MethodName(Method method);
 
 struct NdpSolveOptions {
   /// Primary latency objective plus optional weighted price / migration

@@ -26,23 +26,22 @@ std::string Lowered(std::string_view s) {
   return out;
 }
 
-// Canonical facade methods: registry key and display name per enum value.
+// Canonical facade methods: registry key per enum value.
 struct MethodInfo {
   Method method;
   const char* key;
-  const char* display;
 };
 
 constexpr MethodInfo kMethodTable[] = {
-    {Method::kGreedyG1, "g1", "G1"},
-    {Method::kGreedyG2, "g2", "G2"},
-    {Method::kRandomR1, "r1", "R1"},
-    {Method::kRandomR2, "r2", "R2"},
-    {Method::kCp, "cp", "CP"},
-    {Method::kMip, "mip", "MIP"},
-    {Method::kLocalSearch, "local", "LocalSearch"},
-    {Method::kPortfolio, "portfolio", "Portfolio"},
-    {Method::kHier, "hier", "Hier"},
+    {Method::kGreedyG1, "g1"},
+    {Method::kGreedyG2, "g2"},
+    {Method::kRandomR1, "r1"},
+    {Method::kRandomR2, "r2"},
+    {Method::kCp, "cp"},
+    {Method::kMip, "mip"},
+    {Method::kLocalSearch, "local"},
+    {Method::kPortfolio, "portfolio"},
+    {Method::kHier, "hier"},
 };
 
 // Wraps a single deployment into a one-point result under `objective`.
@@ -283,27 +282,6 @@ const char* MethodKey(Method method) {
     if (info.method == method) return info.key;
   }
   return "unknown";
-}
-
-const char* MethodName(Method method) {
-  for (const MethodInfo& info : kMethodTable) {
-    if (info.method == method) return info.display;
-  }
-  return "Unknown";
-}
-
-Result<Method> ParseMethod(std::string_view name) {
-  const std::string key = Lowered(name);
-  for (const MethodInfo& info : kMethodTable) {
-    if (key == info.key || key == Lowered(info.display)) return info.method;
-  }
-  std::string known;
-  for (const MethodInfo& info : kMethodTable) {
-    if (!known.empty()) known += ", ";
-    known += info.key;
-  }
-  return Status::InvalidArgument("unknown method '" + std::string(name) +
-                                 "' (known: " + known + ")");
 }
 
 Result<Objective> ParseObjective(std::string_view name) {

@@ -1,6 +1,5 @@
-// Name-indexed registry of node-deployment solvers plus the canonical
-// method/objective name round-trips shared by the facade, the CLI, and the
-// staged session API.
+// Name-indexed registry of node-deployment solvers plus the objective-name
+// round-trip shared by the facade, the CLI, and the staged session API.
 //
 // The global registry self-populates with the paper's methods (G1/G2, R1/R2,
 // CP, MIP) and the local-search extension on first use; additional solvers
@@ -53,12 +52,6 @@ void RegisterBuiltinSolvers(SolverRegistry& registry);
 
 /// Canonical registry key for a facade Method ("g1", "cp", "local", ...).
 const char* MethodKey(Method method);
-
-/// Parses a method name as the CLI and config files spell it. Accepts the
-/// registry key ("cp"), the display name ("CP", "LocalSearch"), and common
-/// aliases ("local"), case-insensitively. Round-trips with MethodName and
-/// MethodKey. Unknown names fail with InvalidArgument listing the options.
-Result<Method> ParseMethod(std::string_view name);
 
 /// Parses an objective name: "longest-link" / "LongestLink" / "ll" and
 /// "longest-path" / "LongestPath" / "lp". Round-trips with ObjectiveName.

@@ -34,9 +34,10 @@ Result<LoadedCostMatrix> CostMatrixFromString(const std::string& text) {
   if (!std::getline(in, line) || line != kHeader) {
     return Status::InvalidArgument("missing cost-matrix header");
   }
-  // Far beyond any real allocation (the matrix holds n^2 doubles), and small
-  // enough that a hostile 'n' can neither overflow the int dimension nor
-  // drive a huge allocation before the row parsing fails.
+  // Far beyond any real allocation, and small enough that a hostile 'n'
+  // cannot overflow the int dimension. The cap alone does not bound the
+  // allocation (65536^2 doubles are 32 GiB), so the matrix is sized only
+  // once the text is long enough to hold its n^2 cells (below).
   constexpr long kMaxInstances = 1 << 16;
   size_t n = 0;
   {
@@ -62,6 +63,17 @@ Result<LoadedCostMatrix> CostMatrixFromString(const std::string& text) {
   }
   loaded.metric_name = line.substr(7);
 
+  // Every cell needs at least a separator and a digit, so a header claiming
+  // more cells than the remaining text can hold is rejected before the n^2
+  // allocation (n <= 2^16 keeps 2 n^2 well inside size_t).
+  const std::streamoff consumed = in.tellg();
+  const size_t remaining =
+      consumed < 0 ? 0 : text.size() - static_cast<size_t>(consumed);
+  if (remaining < 2 * n * n) {
+    return Status::InvalidArgument(StrFormat(
+        "%zu bytes cannot hold the %zu x %zu matrix the header declares",
+        remaining, n, n));
+  }
   loaded.costs = deploy::CostMatrix(static_cast<int>(n));
   for (size_t i = 0; i < n; ++i) {
     if (!std::getline(in, line)) {

@@ -208,9 +208,7 @@ Result<MigrationPlan> PlanMigration(const graph::CommGraph& graph,
       deploy::CostEvaluator eval,
       deploy::CostEvaluator::Create(&graph, &costs, spec));
 
-  // Deprecated alias folded in: both knobs price one migrated node.
-  const double penalty =
-      options.migration_penalty_ms + options.objective.migration_weight;
+  const double penalty = options.objective.migration_weight;
   const int n = graph.num_nodes();
   const bool unlimited =
       options.max_migrations < 0 || options.max_migrations >= n;

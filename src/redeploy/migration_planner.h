@@ -12,8 +12,8 @@
 //   * a hard budget `max_migrations` K: at most K nodes may end up on a
 //     different instance than they run on today (K = 0 degenerates to "keep
 //     everything", K >= V to an unconstrained re-solve);
-//   * an optional per-move penalty `migration_penalty_ms` folded into the
-//     objective, so a move must buy at least its own cost in latency.
+//   * an optional per-move penalty `objective.migration_weight` folded into
+//     the objective, so a move must buy at least its own cost in latency.
 //
 // The search runs on deploy::CostEvaluator's incremental SwapCost/MoveCost
 // hot path -- O(deg) per candidate -- exactly like the unconstrained local
@@ -44,18 +44,13 @@ struct PlannerOptions {
   /// Max nodes that may change instance; < 0 or >= node count means
   /// unconstrained (an unlimited budget), 0 means "never move anything".
   int max_migrations = -1;
-  /// DEPRECATED: use `objective.migration_weight` instead. Kept as an alias
-  /// for existing callers; the planner folds the two together (effective
-  /// per-move penalty = migration_penalty_ms + objective.migration_weight).
-  /// A move must improve the deployment cost by more than the effective
-  /// penalty to be accepted. 0 = free moves.
-  double migration_penalty_ms = 0.0;
   /// Objective spec for the search. The planner always prices migrations
-  /// against the *current* deployment, so any `reference`/`migration_weight`
-  /// in the spec is folded into the per-move penalty above rather than into
-  /// the reported costs: `cost_before_ms`/`cost_after_ms` exclude the
-  /// migration term (they answer "what does the deployment cost", not "what
-  /// did it cost to get there"). Price terms are honored as-is.
+  /// against the *current* deployment: `migration_weight` is the per-move
+  /// penalty (ms), so a move must improve the deployment cost by more than
+  /// it to be accepted (0 = free moves), and any `reference` is ignored.
+  /// `cost_before_ms`/`cost_after_ms` exclude the migration term (they
+  /// answer "what does the deployment cost", not "what did it cost to get
+  /// there"). Price terms are honored as-is.
   deploy::ObjectiveSpec objective;
   /// Registry solver used for the unconstrained (K >= V) path; it is seeded
   /// with the current deployment when it consumes initials.

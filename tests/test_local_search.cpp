@@ -94,12 +94,10 @@ TEST(LocalSearchTest, UsableThroughTheFacade) {
   graph::CommGraph mesh = graph::Mesh2D(3, 3);
   CostMatrix costs = RandomCosts(11, master);
   NdpSolveOptions opts;
-  opts.method = Method::kLocalSearch;
-  opts.time_budget_s = 1.0;
   opts.seed = 13;
-  auto r = SolveNodeDeployment(mesh, costs, opts);
+  SolveContext context(Deadline::After(1.0));
+  auto r = SolveNodeDeploymentByName(mesh, costs, "LocalSearch", opts, context);
   ASSERT_TRUE(r.ok());
-  EXPECT_STREQ(MethodName(Method::kLocalSearch), "LocalSearch");
   EXPECT_TRUE(ValidateDeployment(mesh, r->deployment, costs,
                                  Objective::kLongestLink)
                   .ok());

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "measure/io.h"
@@ -68,6 +72,73 @@ TEST(MeasureIoTest, RejectsOverlargeInstanceCounts) {
     ASSERT_FALSE(loaded.ok()) << n_line;
     EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument) << n_line;
   }
+  // Within the cap, but far too short for 65536^2 cells: rejected before the
+  // 32 GiB matrix is sized.
+  auto huge = CostMatrixFromString(
+      "cloudia-cost-matrix v1\nn 65536\nmetric Mean\n"
+      "row 0: 0 1\nrow 1: 1 0\nrow 2: 1 1\n");
+  ASSERT_FALSE(huge.ok());
+  EXPECT_EQ(huge.status().code(), StatusCode::kInvalidArgument);
+}
+
+// Seeded mutations of a serialized 6x6 matrix -- byte flips, truncations and
+// token shuffles within a line. Each mutant parses to an error Status or to
+// a matrix of the size its (possibly mutated) header declares.
+TEST(MeasureIoTest, MutatedMatrixFilesYieldMatrixOrStatus) {
+  const std::string original = CostMatrixToString(RandomMatrix(6, 8), "Mean");
+  Rng rng(20261017);
+  int accepted = 0, rejected = 0;
+  for (int m = 0; m < 400; ++m) {
+    std::string text = original;
+    const int ops = 1 + static_cast<int>(rng.Below(3));
+    for (int op = 0; op < ops; ++op) {
+      switch (rng.Below(3)) {
+        case 0:  // flip one bit of one byte
+          if (!text.empty()) {
+            text[rng.Below(text.size())] ^=
+                static_cast<char>(1u << rng.Below(8));
+          }
+          break;
+        case 1:  // truncate
+          text.resize(rng.Below(text.size() + 1));
+          break;
+        default: {  // shuffle the tokens of one line
+          std::vector<std::string> lines;
+          std::istringstream in(text);
+          for (std::string line; std::getline(in, line);) lines.push_back(line);
+          if (lines.empty()) break;
+          std::string& line = lines[rng.Below(lines.size())];
+          std::vector<std::string> tokens;
+          std::istringstream words(line);
+          for (std::string t; words >> t;) tokens.push_back(t);
+          for (size_t i = tokens.size(); i > 1; --i) {
+            std::swap(tokens[i - 1], tokens[rng.Below(i)]);
+          }
+          line.clear();
+          for (const std::string& t : tokens) {
+            line += (line.empty() ? "" : " ") + t;
+          }
+          text.clear();
+          for (const std::string& l : lines) text += l + "\n";
+          break;
+        }
+      }
+    }
+    auto loaded = CostMatrixFromString(text);
+    if (loaded.ok()) {
+      ++accepted;
+      // The header survived as "n <count>" on the second line.
+      const size_t n_at = text.find('\n') + 1;
+      EXPECT_EQ(loaded->costs.size(), std::atoi(text.c_str() + n_at + 2))
+          << text;
+    } else {
+      ++rejected;
+      EXPECT_FALSE(loaded.status().message().empty()) << text;
+    }
+  }
+  // Both outcomes occur, so the mutations exercise accept and reject paths.
+  EXPECT_GT(accepted, 0);
+  EXPECT_GT(rejected, 0);
 }
 
 TEST(MeasureIoTest, MetricNameWithSpacesSurvives) {

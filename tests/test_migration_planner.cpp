@@ -181,7 +181,7 @@ TEST(MigrationPlannerTest, MigrationPenaltyBlocksCheapMoves) {
   // A penalty larger than the whole achievable gain: moving cannot pay for
   // itself, so the plan keeps the current deployment.
   PlannerOptions priced = free_moves;
-  priced.migration_penalty_ms = unpriced->improvement_ms() + 1.0;
+  priced.objective.migration_weight = unpriced->improvement_ms() + 1.0;
   auto blocked = PlanMigration(app, costs, current, priced);
   ASSERT_TRUE(blocked.ok());
   EXPECT_EQ(blocked->target, current);
@@ -189,12 +189,12 @@ TEST(MigrationPlannerTest, MigrationPenaltyBlocksCheapMoves) {
 
   // A moderate penalty still allows the plan but each accepted move must
   // have bought at least the penalty on average.
-  priced.migration_penalty_ms = 0.01;
+  priced.objective.migration_weight = 0.01;
   auto moderate = PlanMigration(app, costs, current, priced);
   ASSERT_TRUE(moderate.ok());
   if (moderate->migrations > 0) {
     EXPECT_GT(moderate->improvement_ms(),
-              priced.migration_penalty_ms * moderate->migrations);
+              priced.objective.migration_weight * moderate->migrations);
   }
 }
 

@@ -50,12 +50,7 @@ TEST(PortfolioTest, RegistryExposesThePortfolio) {
   EXPECT_STREQ(solver->display_name(), "Portfolio");
   EXPECT_TRUE(solver->Supports(Objective::kLongestLink));
   EXPECT_TRUE(solver->Supports(Objective::kLongestPath));
-
-  auto parsed = ParseMethod("portfolio");
-  ASSERT_TRUE(parsed.ok());
-  EXPECT_EQ(*parsed, Method::kPortfolio);
-  EXPECT_STREQ(MethodKey(Method::kPortfolio), "portfolio");
-  EXPECT_STREQ(MethodName(Method::kPortfolio), "Portfolio");
+  EXPECT_EQ(SolverRegistry::Global().Find("Portfolio"), solver);
 
   bool listed = false;
   for (const std::string& name : SolverRegistry::Global().Names()) {
@@ -231,21 +226,6 @@ TEST(PortfolioTest, BadMemberConfigurationsFailCleanly) {
   auto unsupported = RunByName(tree, costs, "portfolio", options, 1.0);
   ASSERT_FALSE(unsupported.ok());
   EXPECT_EQ(unsupported.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST(PortfolioTest, EnumFacadeReachesThePortfolio) {
-  Rng rng(37);
-  CostMatrix costs = RandomCosts(8, rng);
-  graph::CommGraph mesh = graph::Mesh2D(2, 3);
-
-  NdpSolveOptions options = DeterministicOptions(/*seed=*/5, /*threads=*/2);
-  options.method = Method::kPortfolio;
-  options.time_budget_s = 10.0;
-  auto result = SolveNodeDeployment(mesh, costs, options);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_TRUE(ValidateDeployment(mesh, result->deployment, costs,
-                                 Objective::kLongestLink)
-                  .ok());
 }
 
 TEST(PortfolioTest, SessionSolvesWithThePortfolio) {

@@ -6,11 +6,13 @@
 //   - provider CDFs are ordered and latency bounds hold for all providers.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
 
 #include "cluster/kmeans1d.h"
 #include "common/stats.h"
 #include "deploy/solve.h"
+#include "deploy/solver_registry.h"
 #include "deploy_test_util.h"
 #include "graph/templates.h"
 #include "netsim/cloud.h"
@@ -18,7 +20,6 @@
 namespace cloudia {
 namespace {
 
-using deploy::Method;
 using deploy::Objective;
 
 // ---------------------------------------------------------------------------
@@ -55,7 +56,20 @@ graph::CommGraph MakeShape(Shape s, Rng& rng) {
   CLOUDIA_CHECK(false);
 }
 
-using MethodShapeSeed = std::tuple<Method, Shape, int>;
+// Solvers are named by registry key; test names use their display names.
+using MethodShapeSeed = std::tuple<std::string, Shape, int>;
+
+const char* DisplayName(const std::string& method) {
+  return deploy::SolverRegistry::Global().Find(method)->display_name();
+}
+
+Result<deploy::NdpSolveResult> SolveByName(const graph::CommGraph& g,
+                                           const deploy::CostMatrix& costs,
+                                           const std::string& method,
+                                           const deploy::NdpSolveOptions& opts) {
+  deploy::SolveContext context(Deadline::After(opts.time_budget_s));
+  return deploy::SolveNodeDeploymentByName(g, costs, method, opts, context);
+}
 
 class DeployPropertyTest : public ::testing::TestWithParam<MethodShapeSeed> {};
 
@@ -68,20 +82,19 @@ TEST_P(DeployPropertyTest, ValidInjectionConsistentCostDeterministic) {
   // CP handles only the longest-link objective; trees get longest path when
   // the method supports it.
   Objective objective =
-      (shape == Shape::kTree && method != Method::kCp)
+      (shape == Shape::kTree && method != "cp")
           ? Objective::kLongestPath
           : Objective::kLongestLink;
 
   deploy::NdpSolveOptions opts;
-  opts.method = method;
   opts.objective = objective;
   opts.time_budget_s = 0.5;
   opts.r1_samples = 150;
   opts.threads = 2;
-  opts.cost_clusters = method == Method::kCp ? 10 : 0;
+  opts.cost_clusters = method == "cp" ? 10 : 0;
   opts.seed = static_cast<uint64_t>(seed) * 7 + 1;
 
-  auto r = deploy::SolveNodeDeployment(g, costs, opts);
+  auto r = SolveByName(g, costs, method, opts);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
 
   // (1) valid injection
@@ -98,8 +111,8 @@ TEST_P(DeployPropertyTest, ValidInjectionConsistentCostDeterministic) {
     EXPECT_LT(r->trace[i].cost, r->trace[i - 1].cost);
   }
   // (4) determinism (R2 races wall-clock; exempt)
-  if (method != Method::kRandomR2) {
-    auto again = deploy::SolveNodeDeployment(g, costs, opts);
+  if (method != "r2") {
+    auto again = SolveByName(g, costs, method, opts);
     ASSERT_TRUE(again.ok());
     // Time-limited solvers may do more or less work per run; costs can only
     // be compared when the search space was exhausted both times.
@@ -111,14 +124,12 @@ TEST_P(DeployPropertyTest, ValidInjectionConsistentCostDeterministic) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, DeployPropertyTest,
-    ::testing::Combine(::testing::Values(Method::kGreedyG1, Method::kGreedyG2,
-                                         Method::kRandomR1, Method::kRandomR2,
-                                         Method::kCp, Method::kMip),
+    ::testing::Combine(::testing::Values("g1", "g2", "r1", "r2", "cp", "mip"),
                        ::testing::Values(Shape::kMesh, Shape::kTree,
                                          Shape::kBipartite, Shape::kRandom),
                        ::testing::Values(1, 2)),
     [](const ::testing::TestParamInfo<MethodShapeSeed>& info) {
-      return std::string(deploy::MethodName(std::get<0>(info.param))) +
+      return std::string(DisplayName(std::get<0>(info.param))) +
              ShapeName(std::get<1>(info.param)) +
              "S" + std::to_string(std::get<2>(info.param));
     });
@@ -201,16 +212,14 @@ TEST(DegenerateCostsTest, AllMethodsAgreeOnUniformCosts) {
   graph::CommGraph g = graph::Mesh2D(2, 3);
   deploy::CostMatrix costs(8, 0.5);
   for (int i = 0; i < 8; ++i) costs.At(i, i) = 0;
-  for (Method m : {Method::kGreedyG1, Method::kGreedyG2, Method::kRandomR1,
-                   Method::kCp, Method::kMip}) {
+  for (const std::string m : {"g1", "g2", "r1", "cp", "mip"}) {
     deploy::NdpSolveOptions opts;
-    opts.method = m;
     opts.time_budget_s = 1.0;
     opts.r1_samples = 5;
     opts.seed = 3;
-    auto r = deploy::SolveNodeDeployment(g, costs, opts);
-    ASSERT_TRUE(r.ok()) << deploy::MethodName(m);
-    EXPECT_DOUBLE_EQ(r->cost, 0.5) << deploy::MethodName(m);
+    auto r = SolveByName(g, costs, m, opts);
+    ASSERT_TRUE(r.ok()) << m;
+    EXPECT_DOUBLE_EQ(r->cost, 0.5) << m;
   }
 }
 
@@ -220,10 +229,9 @@ TEST(DegenerateCostsTest, ExactFitNoSpareInstances) {
   graph::CommGraph g = graph::Mesh2D(2, 3);
   deploy::CostMatrix costs = deploy::RandomCosts(6, rng);
   deploy::NdpSolveOptions opts;
-  opts.method = Method::kCp;
   opts.time_budget_s = 5.0;
   opts.seed = 4;
-  auto r = deploy::SolveNodeDeployment(g, costs, opts);
+  auto r = SolveByName(g, costs, "cp", opts);
   ASSERT_TRUE(r.ok());
   EXPECT_NEAR(r->cost, deploy::BruteForceOptimum(g, costs,
                                                  Objective::kLongestLink),

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <thread>
 
-#include "cloudia/advisor.h"
 #include "cloudia/session.h"
 #include "graph/templates.h"
 
@@ -372,35 +371,6 @@ TEST(DeploymentSessionTest, SharedIncumbentCellCarriesSolutionsAcrossSolves) {
   ASSERT_TRUE(cell->Snapshot(&cell_cost, &cell_deployment));
   EXPECT_LE(cell_cost, solve->cost_ms + 1e-9);
   EXPECT_EQ(cell_deployment.size(), 20u);
-}
-
-TEST(DeploymentSessionTest, AdvisorWrapperMatchesSessionPipeline) {
-  // The one-shot Advisor is a thin wrapper over DeploymentSession: same
-  // cloud seed + config must produce the identical deployment either way.
-  AdvisorConfig config;
-  config.method = deploy::Method::kGreedyG2;  // deterministic given the seed
-  config.search_budget_s = 1.0;
-  config.measure_duration_s = 20.0;
-  config.seed = 7;
-  graph::CommGraph app = graph::Mesh2D(4, 5);
-
-  net::CloudSimulator cloud_a(net::AmazonEc2Profile(), 41);
-  Advisor advisor(&cloud_a, config);
-  auto report = advisor.Run(app);
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-
-  net::CloudSimulator cloud_b(net::AmazonEc2Profile(), 41);
-  DeploymentSession session(&cloud_b, &app, FastOptions(config.seed));
-  SolveSpec spec;
-  spec.method = "g2";
-  spec.time_budget_s = config.search_budget_s;
-  spec.seed = config.seed;
-  auto solve = session.Solve(spec);
-  ASSERT_TRUE(solve.ok()) << solve.status().ToString();
-
-  EXPECT_EQ(report->solve.deployment, solve->result.deployment);
-  EXPECT_DOUBLE_EQ(report->optimized_cost_ms, solve->cost_ms);
-  EXPECT_DOUBLE_EQ(report->default_cost_ms, solve->default_cost_ms);
 }
 
 }  // namespace

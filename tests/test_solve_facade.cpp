@@ -1,11 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "deploy/solve.h"
+#include "deploy/solver_registry.h"
 #include "deploy_test_util.h"
 #include "graph/templates.h"
 
 namespace cloudia::deploy {
 namespace {
+
+// The registry solver an enum value dispatches to.
+const NdpSolver* SolverFor(Method method) {
+  return SolverRegistry::Global().Find(MethodKey(method));
+}
 
 class SolveFacadeTest : public ::testing::TestWithParam<Method> {};
 
@@ -55,7 +63,7 @@ INSTANTIATE_TEST_SUITE_P(AllMethods, SolveFacadeTest,
                                            Method::kRandomR1, Method::kRandomR2,
                                            Method::kCp, Method::kMip),
                          [](const ::testing::TestParamInfo<Method>& info) {
-                           return MethodName(info.param);
+                           return SolverFor(info.param)->display_name();
                          });
 
 TEST(SolveFacadeTest2, CpRejectsLongestPath) {
@@ -111,11 +119,24 @@ TEST(SolveFacadeTest2, CpBeatsOrMatchesLightweightOnSmallMesh) {
   EXPECT_LE(cp, g2 + 1e-9);
 }
 
-TEST(SolveFacadeTest2, MethodNames) {
-  EXPECT_STREQ(MethodName(Method::kGreedyG1), "G1");
-  EXPECT_STREQ(MethodName(Method::kRandomR2), "R2");
-  EXPECT_STREQ(MethodName(Method::kCp), "CP");
-  EXPECT_STREQ(MethodName(Method::kMip), "MIP");
+TEST(SolveFacadeTest2, EveryMethodDispatchesToARegisteredSolver) {
+  // The display names are the labels the paper-figure benches print.
+  const std::pair<Method, const char*> expected[] = {
+      {Method::kGreedyG1, "G1"},
+      {Method::kGreedyG2, "G2"},
+      {Method::kRandomR1, "R1"},
+      {Method::kRandomR2, "R2"},
+      {Method::kCp, "CP"},
+      {Method::kMip, "MIP"},
+      {Method::kLocalSearch, "LocalSearch"},
+      {Method::kPortfolio, "Portfolio"},
+      {Method::kHier, "Hier"}};
+  for (const auto& [method, display] : expected) {
+    const NdpSolver* solver = SolverFor(method);
+    ASSERT_NE(solver, nullptr) << display;
+    EXPECT_STREQ(solver->name(), MethodKey(method));
+    EXPECT_STREQ(solver->display_name(), display);
+  }
 }
 
 TEST(SolveFacadeTest2, UnknownMethodErrorListsRegisteredSolvers) {

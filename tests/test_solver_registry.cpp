@@ -51,9 +51,9 @@ TEST(SolverRegistryTest, UnsupportedObjectiveIsRejected) {
   graph::CommGraph tree = graph::AggregationTree(2, 3);
   CostMatrix costs = RandomCosts(9, master);
   NdpSolveOptions opts;
-  opts.method = Method::kCp;
   opts.objective = Objective::kLongestPath;
-  auto r = SolveNodeDeployment(tree, costs, opts);
+  SolveContext context(Deadline::After(opts.time_budget_s));
+  auto r = SolveNodeDeploymentByName(tree, costs, "cp", opts, context);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
 }
@@ -164,21 +164,17 @@ TEST(SolverRegistryTest, PortfolioSolveRejectsDuplicateMembersCleanly) {
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST(SolverRegistryTest, ParseMethodRoundTripsWithBothSpellings) {
-  for (Method method :
-       {Method::kGreedyG1, Method::kGreedyG2, Method::kRandomR1,
-        Method::kRandomR2, Method::kCp, Method::kMip, Method::kLocalSearch,
-        Method::kPortfolio, Method::kHier}) {
-    auto from_key = ParseMethod(MethodKey(method));
-    ASSERT_TRUE(from_key.ok()) << MethodKey(method);
-    EXPECT_EQ(*from_key, method);
-    auto from_display = ParseMethod(MethodName(method));
-    ASSERT_TRUE(from_display.ok()) << MethodName(method);
-    EXPECT_EQ(*from_display, method);
+TEST(SolverRegistryTest, LookupRoundTripsWithBothSpellings) {
+  const SolverRegistry& registry = SolverRegistry::Global();
+  for (const std::string& name : registry.Names()) {
+    const NdpSolver* solver = registry.Find(name);
+    ASSERT_NE(solver, nullptr) << name;
+    EXPECT_EQ(solver->name(), name);
+    EXPECT_EQ(registry.Find(solver->display_name()), solver) << name;
   }
-  EXPECT_FALSE(ParseMethod("annealing").ok());
-  EXPECT_EQ(ParseMethod("annealing").status().code(),
-            StatusCode::kInvalidArgument);
+  auto missing = registry.Require("annealing");
+  ASSERT_FALSE(missing.ok());
+  EXPECT_EQ(missing.status().code(), StatusCode::kNotFound);
 }
 
 TEST(SolverRegistryTest, ParseObjectiveRoundTrips) {
