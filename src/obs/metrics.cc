@@ -43,6 +43,15 @@ HistogramCell::HistogramCell(std::vector<double> bucket_bounds)
 
 }  // namespace internal
 
+uint64_t Counter::value() const {
+  if (cell_ == nullptr) return 0;
+  uint64_t total = 0;
+  for (const internal::CounterShard& shard : cell_->shards) {
+    total += shard.value.load(std::memory_order_relaxed);
+  }
+  return total;
+}
+
 void Histogram::Observe(double value) {
   if (cell_ == nullptr) return;
   const std::vector<double>& bounds = cell_->bounds;
@@ -93,14 +102,6 @@ Histogram MetricsRegistry::histogram(const std::string& name,
 
 namespace {
 
-uint64_t FoldCounter(const internal::CounterCell& cell) {
-  uint64_t total = 0;
-  for (const internal::CounterShard& shard : cell.shards) {
-    total += shard.value.load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
 HistogramSnapshot FoldHistogram(const std::string& name,
                                 const internal::HistogramCell& cell) {
   HistogramSnapshot snap;
@@ -136,7 +137,7 @@ std::vector<MetricValue> MetricsRegistry::Snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<MetricValue> out;
   for (const auto& [name, cell] : counters_) {
-    out.push_back({name, static_cast<double>(FoldCounter(*cell))});
+    out.push_back({name, static_cast<double>(Counter(cell.get()).value())});
   }
   for (const auto& [name, cell] : gauges_) {
     out.push_back({name, cell->value.load(std::memory_order_relaxed)});

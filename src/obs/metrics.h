@@ -10,6 +10,8 @@
 // selected per thread, so concurrent writers do not contend on one line.
 // Reads fold the shards in fixed index order under the registry mutex, which
 // makes every snapshot deterministic given the same recorded totals.
+// Counter::value() folds one counter without that mutex; a caller that wants
+// a coherent view of several counters serializes its reads with the writes.
 //
 // Naming convention: `layer.component.name`, e.g. "service.queue.depth",
 // "cache.matrix.hits", "redeploy.monitor.checks".
@@ -75,6 +77,8 @@ class Counter {
     cell_->shards[internal::ShardIndex()].value.fetch_add(
         n, std::memory_order_relaxed);
   }
+  /// Sum of the shards (0 when detached).
+  uint64_t value() const;
   bool attached() const { return cell_ != nullptr; }
 
  private:

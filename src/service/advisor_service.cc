@@ -17,36 +17,33 @@ namespace cloudia::service {
 
 namespace internal {
 
+// The service.* counters -- the only store behind stats() -- in the
+// service's registry: the injected one, or `owned`. Shared with every
+// RequestState and RedeployState, so a handle completing after the service
+// is gone still counts into a live registry.
 struct StatsCell {
-  std::atomic<uint64_t> submitted{0};
-  std::atomic<uint64_t> coalesced{0};
-  std::atomic<uint64_t> completed{0};
-  std::atomic<uint64_t> failed{0};
-  std::atomic<uint64_t> cancelled{0};
-  std::atomic<uint64_t> expired{0};
-  std::atomic<uint64_t> warm_starts{0};
-  std::atomic<uint64_t> portfolio_routed{0};
-  std::atomic<uint64_t> hier_routed{0};
-  std::atomic<uint64_t> redeploys{0};
-  std::atomic<uint64_t> redeploys_drifted{0};
-  std::atomic<uint64_t> matrix_refreshes{0};
+  explicit StatsCell(obs::MetricsRegistry* injected)
+      : owned(injected != nullptr ? nullptr
+                                  : std::make_unique<obs::MetricsRegistry>()),
+        registry(injected != nullptr ? injected : owned.get()) {}
 
-  /// service.* counter handles mirroring the atomics above into the obs
-  /// registry (no-ops when the service has none); bumped at the same sites.
-  struct ObsCounters {
-    obs::Counter submitted;
-    obs::Counter coalesced;
-    obs::Counter completed;
-    obs::Counter failed;
-    obs::Counter cancelled;
-    obs::Counter deadline_miss;
-    obs::Counter warm_starts;
-    obs::Counter portfolio_routed;
-    obs::Counter hier_routed;
-    obs::Counter redeploys;
-    obs::Counter redeploys_drifted;
-    obs::Counter matrix_refreshes;
-  } obs;
+  const std::unique_ptr<obs::MetricsRegistry> owned;
+  obs::MetricsRegistry* const registry;
+  obs::Counter submitted = registry->counter("service.requests.submitted");
+  obs::Counter coalesced = registry->counter("service.requests.coalesced");
+  obs::Counter completed = registry->counter("service.requests.completed");
+  obs::Counter failed = registry->counter("service.requests.failed");
+  obs::Counter cancelled = registry->counter("service.requests.cancelled");
+  obs::Counter deadline_miss =
+      registry->counter("service.requests.deadline_miss");
+  obs::Counter warm_starts = registry->counter("service.solve.warm_starts");
+  obs::Counter portfolio_routed = registry->counter("service.route.portfolio");
+  obs::Counter hier_routed = registry->counter("service.route.hier");
+  obs::Counter redeploys = registry->counter("service.redeploy.requests");
+  obs::Counter redeploys_drifted =
+      registry->counter("service.redeploy.drifted");
+  obs::Counter matrix_refreshes =
+      registry->counter("service.redeploy.matrix_refreshes");
 };
 
 // One scheduled unit of work: the leader request plus every byte-identical
@@ -97,25 +94,19 @@ struct RequestState {
       if (done) return false;
       // Count the outcome before publishing `done`, so a caller woken by
       // Wait() already sees its request in the service stats.
-      if (stats != nullptr) {
-        switch (r.status.code()) {
-          case StatusCode::kOk:
-            ++stats->completed;
-            stats->obs.completed.Add();
-            break;
-          case StatusCode::kCancelled:
-            ++stats->cancelled;
-            stats->obs.cancelled.Add();
-            break;
-          case StatusCode::kTimeout:
-            ++stats->expired;
-            stats->obs.deadline_miss.Add();
-            break;
-          default:
-            ++stats->failed;
-            stats->obs.failed.Add();
-            break;
-        }
+      switch (r.status.code()) {
+        case StatusCode::kOk:
+          stats->completed.Add();
+          break;
+        case StatusCode::kCancelled:
+          stats->cancelled.Add();
+          break;
+        case StatusCode::kTimeout:
+          stats->deadline_miss.Add();
+          break;
+        default:
+          stats->failed.Add();
+          break;
       }
       result = std::move(r);
       done = true;
@@ -142,10 +133,7 @@ struct RedeployState {
     {
       std::lock_guard<std::mutex> lock(mu);
       if (done) return false;
-      if (stats != nullptr && r.status.ok() && r.drift_detected) {
-        ++stats->redeploys_drifted;
-        stats->obs.redeploys_drifted.Add();
-      }
+      if (r.status.ok() && r.drift_detected) stats->redeploys_drifted.Add();
       r.total_s = submitted.ElapsedSeconds();
       result = std::move(r);
       done = true;
@@ -310,37 +298,21 @@ AdvisorService::AdvisorService() : AdvisorService(Options{}) {}
 
 AdvisorService::AdvisorService(Options options)
     : options_(std::move(options)),
+      stats_(std::make_shared<internal::StatsCell>(options_.obs.metrics)),
+      queue_depth_gauge_(stats_->registry->gauge("service.queue.depth")),
       cache_([this] {
         CostMatrixCache::Options copts;
         copts.capacity = options_.cache_capacity;
         copts.ttl_s = options_.cache_ttl_s;
         copts.measure_fn = options_.measure_fn;
-        copts.metrics = options_.obs.metrics;
+        copts.metrics = stats_->registry;
         return copts;
       }()),
-      stats_(std::make_shared<internal::StatsCell>()),
       paused_(options_.start_paused) {
   threads_ = options_.threads > 0
                  ? options_.threads
                  : static_cast<int>(std::thread::hardware_concurrency());
   if (threads_ < 1) threads_ = 1;
-  if (options_.obs.metrics != nullptr) {
-    obs::MetricsRegistry* m = options_.obs.metrics;
-    stats_->obs.submitted = m->counter("service.requests.submitted");
-    stats_->obs.coalesced = m->counter("service.requests.coalesced");
-    stats_->obs.completed = m->counter("service.requests.completed");
-    stats_->obs.failed = m->counter("service.requests.failed");
-    stats_->obs.cancelled = m->counter("service.requests.cancelled");
-    stats_->obs.deadline_miss = m->counter("service.requests.deadline_miss");
-    stats_->obs.warm_starts = m->counter("service.solve.warm_starts");
-    stats_->obs.portfolio_routed = m->counter("service.route.portfolio");
-    stats_->obs.hier_routed = m->counter("service.route.hier");
-    stats_->obs.redeploys = m->counter("service.redeploy.requests");
-    stats_->obs.redeploys_drifted = m->counter("service.redeploy.drifted");
-    stats_->obs.matrix_refreshes =
-        m->counter("service.redeploy.matrix_refreshes");
-    queue_depth_gauge_ = m->gauge("service.queue.depth");
-  }
   pool_ = std::make_unique<ThreadPool>(threads_);
 }
 
@@ -376,8 +348,7 @@ RequestHandle AdvisorService::Submit(DeploymentRequest request) {
   auto state = std::make_shared<RequestState>();
   state->cancel = request.cancel;
   state->stats = stats_;
-  ++stats_->submitted;
-  stats_->obs.submitted.Add();
+  stats_->submitted.Add();
 
   if (request.app == nullptr) {
     ServiceResult r;
@@ -410,8 +381,7 @@ RequestHandle AdvisorService::Submit(DeploymentRequest request) {
       state->coalesced = true;
       state->job = job;
       job->attached.push_back(state);
-      ++stats_->coalesced;
-      stats_->obs.coalesced.Add();
+      stats_->coalesced.Add();
       return RequestHandle(std::move(state));
     }
   }
@@ -469,8 +439,7 @@ RedeployHandle AdvisorService::SubmitRedeploy(RedeployRequest request) {
   state->cancel = request.cancel;
   state->stats = stats_;
   state->request = std::move(request);
-  ++stats_->redeploys;
-  stats_->obs.redeploys.Add();
+  stats_->redeploys.Add();
 
   if (state->request.app == nullptr) {
     RedeployResult r;
@@ -643,8 +612,7 @@ void AdvisorService::ExecuteRedeploy(
     fresh.measure_virtual_s = t_hours * 3600.0;
     cache_.Put(std::move(fresh));
     result.matrix_refreshed = true;
-    ++stats_->matrix_refreshes;
-    stats_->obs.matrix_refreshes.Add();
+    stats_->matrix_refreshes.Add();
   };
   Result<redeploy::OnlineOutcome> outcome = redeploy::RunOnlineRedeployment(
       cloud, env->instances, *req.app, env->costs, initial, online,
@@ -782,10 +750,8 @@ void AdvisorService::ExecuteJob(const std::shared_ptr<Job>& job) {
                      options_.obs.parent);
   const std::string priority_suffix =
       ".p" + std::to_string(std::max(-9, std::min(9, job->priority)));
-  if (options_.obs.metrics != nullptr) {
-    options_.obs.metrics->histogram("service.queue.wait_s" + priority_suffix)
-        .Observe(queue_wait_s);
-  }
+  stats_->registry->histogram("service.queue.wait_s" + priority_suffix)
+      .Observe(queue_wait_s);
 
   // -- Stage 1: resolve the cost matrix (cache / single-flight measure) ------
   job->stage.store(static_cast<int>(RequestStage::kMeasuring));
@@ -851,15 +817,13 @@ void AdvisorService::ExecuteJob(const std::shared_ptr<Job>& job) {
       // Past flat-solver scale: divide-and-conquer instead of racing flat
       // solvers that would all collapse on a problem this size.
       spec.method = "hier";
-      ++stats_->hier_routed;
-      stats_->obs.hier_routed.Add();
+      stats_->hier_routed.Add();
     } else if (n >= options_.portfolio_node_threshold) {
       spec.method = "portfolio";
       if (spec.portfolio_members.empty()) {
         spec.portfolio_members = options_.portfolio_members;
       }
-      ++stats_->portfolio_routed;
-      stats_->obs.portfolio_routed.Add();
+      stats_->portfolio_routed.Add();
     } else {
       spec.method = options_.default_method;
     }
@@ -899,17 +863,14 @@ void AdvisorService::ExecuteJob(const std::shared_ptr<Job>& job) {
         warm.size() == static_cast<size_t>(n)) {
       spec.initial = std::move(warm);
       warm_started = true;
-      ++stats_->warm_starts;
-      stats_->obs.warm_starts.Add();
+      stats_->warm_starts.Add();
     }
   }
 
   Stopwatch solve_watch;
   Result<cloudia::SessionSolve> solve = session.Solve(spec);
-  if (options_.obs.metrics != nullptr) {
-    options_.obs.metrics->histogram("service.solve.time_s" + priority_suffix)
-        .Observe(solve_watch.ElapsedSeconds());
-  }
+  stats_->registry->histogram("service.solve.time_s" + priority_suffix)
+      .Observe(solve_watch.ElapsedSeconds());
 
   ServiceResult base;
   base.cache_hit = lookup->hit;
@@ -950,20 +911,19 @@ std::shared_ptr<deploy::SharedIncumbent> AdvisorService::WarmStartCell(
 }
 
 AdvisorService::Stats AdvisorService::stats() const {
-  Stats s;
-  s.submitted = stats_->submitted.load();
-  s.coalesced = stats_->coalesced.load();
-  s.completed = stats_->completed.load();
-  s.failed = stats_->failed.load();
-  s.cancelled = stats_->cancelled.load();
-  s.expired = stats_->expired.load();
-  s.warm_starts = stats_->warm_starts.load();
-  s.portfolio_routed = stats_->portfolio_routed.load();
-  s.hier_routed = stats_->hier_routed.load();
-  s.redeploys = stats_->redeploys.load();
-  s.redeploys_drifted = stats_->redeploys_drifted.load();
-  s.matrix_refreshes = stats_->matrix_refreshes.load();
-  return s;
+  const internal::StatsCell& c = *stats_;
+  return {.submitted = c.submitted.value(),
+          .coalesced = c.coalesced.value(),
+          .completed = c.completed.value(),
+          .failed = c.failed.value(),
+          .cancelled = c.cancelled.value(),
+          .expired = c.deadline_miss.value(),
+          .warm_starts = c.warm_starts.value(),
+          .portfolio_routed = c.portfolio_routed.value(),
+          .hier_routed = c.hier_routed.value(),
+          .redeploys = c.redeploys.value(),
+          .redeploys_drifted = c.redeploys_drifted.value(),
+          .matrix_refreshes = c.matrix_refreshes.value()};
 }
 
 }  // namespace cloudia::service

@@ -1,9 +1,8 @@
 // AdvisorService: a concurrent, multi-tenant front end over the staged
-// cloudia::DeploymentSession -- the ROADMAP's "serve heavy traffic" layer.
+// cloudia::DeploymentSession.
 //
-// Every caller today hand-drives one session synchronously. This service
-// accepts many asynchronous DeploymentRequests and schedules them across a
-// machine-wide worker pool, exploiting the paper's cost structure
+// The service accepts many asynchronous DeploymentRequests and schedules them
+// across a machine-wide worker pool, exploiting the paper's cost structure
 // (measurement is the expensive, billed step; solving the cached matrix is
 // cheap -- Sect. 6.2, Fig. 7) three ways:
 //
@@ -149,7 +148,9 @@ struct RedeployRequest {
   /// `current` is empty, but `solve.objective` always governs the whole
   /// request: monitoring costs, migration planning, and every reported
   /// cost run under it (overriding the policy's planner default).
-  /// "auto"/"" routes like a deployment request.
+  /// "auto"/"" always means Options::default_method: the baseline solve is
+  /// pinned to one thread for deterministic advice, so it is never routed
+  /// to the portfolio or hier by size.
   cloudia::SolveSpec solve;
   /// Migration budget K for every plan; < -1 (the default sentinel -2)
   /// defers to the policy, -1 = unlimited, 0 = monitor/refresh only.
@@ -261,15 +262,21 @@ class AdvisorService {
     bool start_paused = false;
     /// Test hook forwarded to the cache.
     CostMatrixCache::MeasureFn measure_fn;
-    /// Observability sinks for the whole service (obs/obs.h). With a
-    /// metrics registry attached, the service exports a queue-depth gauge,
-    /// per-priority queue-wait and solve-time histograms, request-outcome
-    /// counters (including deadline misses), and cache.matrix.* counters;
-    /// with a tracer, every job emits a "service.job" span with the session
-    /// stage spans nested under it. Both sinks must outlive the service.
+    /// Observability sinks for the whole service (obs/obs.h). The service
+    /// and its cache count every event once, into `obs.metrics`: a
+    /// queue-depth gauge, per-priority queue-wait and solve-time
+    /// histograms, service.* outcome counters (including deadline misses)
+    /// and cache.matrix.* counters. stats() and cache_stats() are views
+    /// over those counters. Without `obs.metrics` the service counts into a
+    /// private registry, which sessions and redeploy loops never see; two
+    /// services sharing one registry report summed counts. With a tracer,
+    /// every job emits a "service.job" span with the session stage spans
+    /// nested under it. Both sinks must outlive the service.
     obs::ObsConfig obs;
   };
 
+  /// A view over the service.* counters (`expired` reads
+  /// service.requests.deadline_miss).
   struct Stats {
     uint64_t submitted = 0;
     uint64_t coalesced = 0;         ///< requests attached to an in-flight twin
@@ -335,11 +342,12 @@ class AdvisorService {
 
   Options options_;
   int threads_ = 1;
-  /// service.queue.depth: +1 on enqueue, -1 when a worker claims the job
-  /// (no-op without a metrics registry).
+  /// The service's counters and resolved registry (declared before cache_,
+  /// which counts into the same registry).
+  std::shared_ptr<internal::StatsCell> stats_;
+  /// service.queue.depth: +1 on enqueue, -1 when a worker claims the job.
   obs::Gauge queue_depth_gauge_;
   CostMatrixCache cache_;
-  std::shared_ptr<internal::StatsCell> stats_;
   std::unique_ptr<ThreadPool> pool_;
 
   mutable std::mutex mu_;

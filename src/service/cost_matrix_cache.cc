@@ -23,7 +23,12 @@ bool AllCancelled(const std::vector<CancelToken>& tokens) {
 CostMatrixCache::CostMatrixCache() : CostMatrixCache(Options{}) {}
 
 CostMatrixCache::CostMatrixCache(Options options)
-    : options_(std::move(options)) {
+    : options_(std::move(options)),
+      owned_metrics_(options_.metrics != nullptr
+                         ? nullptr
+                         : std::make_unique<obs::MetricsRegistry>()),
+      metrics_(options_.metrics != nullptr ? options_.metrics
+                                           : owned_metrics_.get()) {
   if (options_.capacity < 1) options_.capacity = 1;
   if (!options_.measure_fn) {
     options_.measure_fn = [](const EnvironmentSpec& spec,
@@ -32,16 +37,6 @@ CostMatrixCache::CostMatrixCache(Options options)
     };
   }
   if (!options_.now_fn) options_.now_fn = obs::SteadyNowSeconds;
-  if (options_.metrics != nullptr) {
-    obs_.hits = options_.metrics->counter("cache.matrix.hits");
-    obs_.misses = options_.metrics->counter("cache.matrix.misses");
-    obs_.measurements = options_.metrics->counter("cache.matrix.measurements");
-    obs_.single_flight_waits =
-        options_.metrics->counter("cache.matrix.single_flight_waits");
-    obs_.evictions = options_.metrics->counter("cache.matrix.evictions");
-    obs_.expirations = options_.metrics->counter("cache.matrix.expirations");
-    obs_.refreshes = options_.metrics->counter("cache.matrix.refreshes");
-  }
 }
 
 double CostMatrixCache::Now() const { return options_.now_fn(); }
@@ -59,8 +54,7 @@ void CostMatrixCache::SweepExpired() {
     if (now >= it->second.expires_at) {
       lru_.erase(it->second.lru_it);
       it = entries_.erase(it);
-      ++stats_.expirations;
-      obs_.expirations.Add();
+      expirations_.Add();
     } else {
       ++it;
     }
@@ -83,8 +77,7 @@ void CostMatrixCache::Install(const std::string& key, EntryPtr entry) {
     const std::string& victim = lru_.back();
     entries_.erase(victim);
     lru_.pop_back();
-    ++stats_.evictions;
-    obs_.evictions.Add();
+    evictions_.Add();
   }
   lru_.push_front(key);
   CacheEntry cached;
@@ -115,23 +108,18 @@ Result<CostMatrixCache::Lookup> CostMatrixCache::Get(
       auto it = entries_.find(key);
       if (it != entries_.end()) {
         if (Now() < it->second.expires_at) {
-          if (!counted_miss) {
-            ++stats_.hits;
-            obs_.hits.Add();
-          }
+          if (!counted_miss) hits_.Add();
           Touch(key);
           return Lookup{it->second.entry, /*hit=*/!ever_waited, ever_waited};
         }
         lru_.erase(it->second.lru_it);
         entries_.erase(it);
-        ++stats_.expirations;
-        obs_.expirations.Add();
+        expirations_.Add();
       }
       // A retry after a cancelled leader is still one logical lookup; only
       // `measurements` keeps counting, since the re-measure is real work.
       if (!counted_miss) {
-        ++stats_.misses;
-        obs_.misses.Add();
+        misses_.Add();
         counted_miss = true;
       }
       auto fit = inflight_.find(key);
@@ -144,12 +132,10 @@ Result<CostMatrixCache::Lookup> CostMatrixCache::Get(
         flight->tokens.push_back(cancel);
         inflight_[key] = flight;
         leader = true;
-        ++stats_.measurements;
-        obs_.measurements.Add();
+        measurements_.Add();
       } else {
         flight = fit->second;
-        ++stats_.coalesced;
-        obs_.single_flight_waits.Add();
+        single_flight_waits_.Add();
       }
     }
     if (!leader) {
@@ -215,8 +201,7 @@ void CostMatrixCache::Put(MeasuredEnvironment env) {
   auto entry = std::make_shared<const MeasuredEnvironment>(std::move(env));
   std::lock_guard<std::mutex> lock(mu_);
   Install(key, std::move(entry));
-  ++stats_.refreshes;
-  obs_.refreshes.Add();
+  refreshes_.Add();
 }
 
 size_t CostMatrixCache::size() const {
@@ -239,7 +224,13 @@ void CostMatrixCache::Clear() {
 
 CostMatrixCache::Stats CostMatrixCache::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
+  return {.hits = hits_.value(),
+          .misses = misses_.value(),
+          .measurements = measurements_.value(),
+          .coalesced = single_flight_waits_.value(),
+          .evictions = evictions_.value(),
+          .expirations = expirations_.value(),
+          .refreshes = refreshes_.value()};
 }
 
 }  // namespace cloudia::service

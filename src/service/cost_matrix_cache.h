@@ -56,13 +56,18 @@ class CostMatrixCache {
     MeasureFn measure_fn;
     /// Test hook: monotonic clock in seconds, for deterministic TTL tests.
     std::function<double()> now_fn;
-    /// Optional sink mirroring Stats as cache.matrix.* counters (obs/).
+    /// The registry the cache counts into, as cache.matrix.* counters; it
+    /// is the only store behind stats(). Null: the cache owns a private
+    /// one. Caches sharing one registry report summed counts. Must outlive
+    /// the cache.
     obs::MetricsRegistry* metrics = nullptr;
   };
 
-  /// Counts below are mutated and snapshotted only under the cache mutex
-  /// (stats() copies the whole struct in one critical section), so a reader
-  /// always sees a coherent point-in-time view, never a torn mix of fields.
+  /// A view over the cache.matrix.* counters (`coalesced` reads
+  /// single_flight_waits). The cache bumps them only under its mutex and
+  /// stats() folds them under the same mutex, so a reader sees a coherent
+  /// point-in-time view, never a torn mix of fields -- unless another writer
+  /// shares the registry.
   struct Stats {
     uint64_t hits = 0;          ///< served from a completed entry
     uint64_t misses = 0;        ///< no valid entry at lookup time
@@ -144,18 +149,18 @@ class CostMatrixCache {
   std::unordered_map<std::string, CacheEntry> entries_;
   std::list<std::string> lru_;  // front = most recently used
   std::unordered_map<std::string, std::shared_ptr<InFlight>> inflight_;
-  Stats stats_;
-  /// cache.matrix.* counter handles (no-ops without Options::metrics),
-  /// bumped at the same sites as the stats_ fields they mirror.
-  struct ObsCounters {
-    obs::Counter hits;
-    obs::Counter misses;
-    obs::Counter measurements;
-    obs::Counter single_flight_waits;
-    obs::Counter evictions;
-    obs::Counter expirations;
-    obs::Counter refreshes;
-  } obs_;
+  /// The registry counted into: Options::metrics, or owned_metrics_.
+  const std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
+  obs::MetricsRegistry* const metrics_;
+  /// cache.matrix.* counters, bumped only under mu_.
+  obs::Counter hits_ = metrics_->counter("cache.matrix.hits");
+  obs::Counter misses_ = metrics_->counter("cache.matrix.misses");
+  obs::Counter measurements_ = metrics_->counter("cache.matrix.measurements");
+  obs::Counter single_flight_waits_ =
+      metrics_->counter("cache.matrix.single_flight_waits");
+  obs::Counter evictions_ = metrics_->counter("cache.matrix.evictions");
+  obs::Counter expirations_ = metrics_->counter("cache.matrix.expirations");
+  obs::Counter refreshes_ = metrics_->counter("cache.matrix.refreshes");
 };
 
 }  // namespace cloudia::service

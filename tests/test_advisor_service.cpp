@@ -5,7 +5,9 @@
 #include <atomic>
 #include <chrono>
 #include <mutex>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "cloudia/session.h"
@@ -485,6 +487,185 @@ TEST(AdvisorServiceTest, ServiceMatrixMatchesSessionMeasurement) {
   ASSERT_TRUE(session.Measure().ok());
   ASSERT_EQ(session.allocated().size(), 13u);
   EXPECT_EQ(session.costs(), measured->costs);
+}
+
+// Runs one paused single-worker batch that exercises every counter behind
+// stats() and cache_stats(): completed, rejected, cancelled, coalesced,
+// deadline-expired, warm-started, portfolio- and hier-routed requests, a
+// refused redeploy, a cache hit, an LRU eviction and a refresh.
+struct BatchStats {
+  AdvisorService::Stats service;
+  CostMatrixCache::Stats cache;
+};
+
+BatchStats RunMixedBatch(obs::MetricsRegistry* metrics) {
+  graph::CommGraph app = graph::Mesh2D(3, 4);
+  graph::CommGraph small = graph::Mesh2D(2, 3);
+  AdvisorService::Options options;
+  options.threads = 1;
+  options.start_paused = true;
+  options.measure_fn = FakeMeasure;
+  options.cache_capacity = 1;
+  options.portfolio_node_threshold = 6;
+  options.hier_node_threshold = 12;
+  options.obs.metrics = metrics;
+  AdvisorService service(options);
+
+  std::vector<RequestHandle> handles;
+  handles.push_back(service.Submit(BasicRequest(&app, "local")));
+  handles.push_back(service.Submit(BasicRequest(&app, "local")));  // twin
+  handles.push_back(service.Submit(BasicRequest(&app, "cp")));  // warm start
+  DeploymentRequest to_hier = BasicRequest(&app, "auto");
+  to_hier.solve.time_budget_s = 0.2;
+  handles.push_back(service.Submit(std::move(to_hier)));
+  DeploymentRequest to_portfolio = BasicRequest(&small, "auto");
+  to_portfolio.solve.time_budget_s = 0.2;
+  handles.push_back(service.Submit(std::move(to_portfolio)));
+  DeploymentRequest other_env = BasicRequest(&app, "g2");
+  other_env.environment.seed = 4;  // evicts seed 7 from the 1-slot cache
+  handles.push_back(service.Submit(std::move(other_env)));
+  DeploymentRequest no_graph;
+  no_graph.environment = TinyEnv();
+  handles.push_back(service.Submit(std::move(no_graph)));
+  DeploymentRequest doomed = BasicRequest(&app);
+  doomed.environment.seed = 2;
+  handles.push_back(service.Submit(std::move(doomed)));
+  handles.back().Cancel();
+  DeploymentRequest late = BasicRequest(&app);
+  late.environment.seed = 3;
+  late.deadline_s = 0.02;
+  handles.push_back(service.Submit(std::move(late)));
+  RedeployRequest redeploy;
+  redeploy.environment = TinyEnv();
+  redeploy.app = &app;
+  RedeployHandle refused = service.SubmitRedeploy(std::move(redeploy));
+  service.cache().Put(*FakeMeasure(TinyEnv(9), CancelToken()));
+
+  std::this_thread::sleep_for(std::chrono::milliseconds(60));
+  service.Resume();
+  for (RequestHandle& handle : handles) handle.Wait();
+  EXPECT_FALSE(refused.Wait().status.ok());
+  return {service.stats(), service.cache_stats()};
+}
+
+// Every stats() and cache_stats() field, keyed by the counter it views.
+std::vector<std::pair<std::string, uint64_t>> CounterFields(
+    const BatchStats& batch) {
+  const AdvisorService::Stats& s = batch.service;
+  const CostMatrixCache::Stats& c = batch.cache;
+  return {
+      {"service.requests.submitted", s.submitted},
+      {"service.requests.coalesced", s.coalesced},
+      {"service.requests.completed", s.completed},
+      {"service.requests.failed", s.failed},
+      {"service.requests.cancelled", s.cancelled},
+      {"service.requests.deadline_miss", s.expired},
+      {"service.solve.warm_starts", s.warm_starts},
+      {"service.route.portfolio", s.portfolio_routed},
+      {"service.route.hier", s.hier_routed},
+      {"service.redeploy.requests", s.redeploys},
+      {"service.redeploy.drifted", s.redeploys_drifted},
+      {"service.redeploy.matrix_refreshes", s.matrix_refreshes},
+      {"cache.matrix.hits", c.hits},
+      {"cache.matrix.misses", c.misses},
+      {"cache.matrix.measurements", c.measurements},
+      {"cache.matrix.single_flight_waits", c.coalesced},
+      {"cache.matrix.evictions", c.evictions},
+      {"cache.matrix.expirations", c.expirations},
+      {"cache.matrix.refreshes", c.refreshes},
+  };
+}
+
+TEST(AdvisorServiceTest, StatsAreViewsOverTheRegistryCounters) {
+  obs::MetricsRegistry registry;
+  const BatchStats batch = RunMixedBatch(&registry);
+  const AdvisorService::Stats& s = batch.service;
+  const CostMatrixCache::Stats& c = batch.cache;
+
+  // The batch really is mixed: every outcome the counters track happened.
+  EXPECT_EQ(s.submitted, 9u);
+  EXPECT_EQ(s.coalesced, 1u);
+  EXPECT_EQ(s.failed, 1u);
+  EXPECT_EQ(s.cancelled, 1u);
+  EXPECT_EQ(s.expired, 1u);
+  EXPECT_EQ(s.completed, 6u);
+  EXPECT_GE(s.warm_starts, 1u);
+  EXPECT_EQ(s.portfolio_routed, 1u);
+  EXPECT_EQ(s.hier_routed, 1u);
+  EXPECT_EQ(s.redeploys, 1u);
+  EXPECT_EQ(c.measurements, 2u);
+  EXPECT_GE(c.hits, 1u);
+  EXPECT_GE(c.evictions, 1u);
+  EXPECT_EQ(c.refreshes, 1u);
+
+  for (const auto& [name, value] : CounterFields(batch)) {
+    EXPECT_EQ(registry.counter(name).value(), value) << name;
+  }
+}
+
+TEST(AdvisorServiceTest, PrivateRegistryReportsTheSameStats) {
+  obs::MetricsRegistry registry;
+  EXPECT_EQ(CounterFields(RunMixedBatch(&registry)),
+            CounterFields(RunMixedBatch(nullptr)));
+}
+
+TEST(AdvisorServiceTest, HandlesAnswerAfterTheServiceIsDestroyed) {
+  // Handles share ownership of their outcome counters (and of the private
+  // registry behind them), so every call stays valid once the service and
+  // its registry pointer are gone.
+  graph::CommGraph app = graph::Mesh2D(3, 4);
+  std::vector<RequestHandle> handles;  // leader, coalesced twin, rejected
+  std::vector<RedeployHandle> redeploys;
+  {
+    AdvisorService::Options options;
+    options.threads = 1;
+    options.start_paused = true;
+    AdvisorService service(options);
+    handles.push_back(service.Submit(BasicRequest(&app, "local")));
+    handles.push_back(service.Submit(BasicRequest(&app, "local")));
+    handles.push_back(service.Submit(DeploymentRequest{}));
+    RedeployPolicy policy;
+    policy.checks = 2;
+    service.EnableRedeployment(TinyEnv(), policy);
+    RedeployRequest redeploy;
+    redeploy.environment = TinyEnv();
+    redeploy.app = &app;
+    redeploy.solve.method = "g2";
+    redeploys.push_back(service.SubmitRedeploy(std::move(redeploy)));
+  }  // drains: every handle resolves before the destructor returns
+
+  const RequestHandle& leader = handles[0];
+  const RequestHandle& twin = handles[1];
+  const RequestHandle& rejected = handles[2];
+  for (const RequestHandle& handle : handles) {
+    EXPECT_TRUE(handle.done());
+    EXPECT_TRUE(handle.WaitFor(0.0));
+    EXPECT_EQ(handle.progress().stage, RequestStage::kDone);
+  }
+  ASSERT_TRUE(leader.Wait().status.ok()) << leader.Wait().status.ToString();
+  EXPECT_FALSE(leader.Wait().coalesced);
+  ASSERT_TRUE(twin.Wait().status.ok()) << twin.Wait().status.ToString();
+  EXPECT_TRUE(twin.Wait().coalesced);
+  EXPECT_EQ(twin.Wait().solve.cost_ms, leader.Wait().solve.cost_ms);
+  EXPECT_DOUBLE_EQ(twin.progress().best_cost_ms, leader.Wait().solve.cost_ms);
+  EXPECT_EQ(rejected.Wait().status.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(rejected.progress().incumbents, 0);
+
+  // A late Cancel() is a no-op on a resolved request.
+  for (const RequestHandle& handle : handles) handle.Cancel();
+  EXPECT_TRUE(leader.Wait().status.ok());
+  EXPECT_TRUE(twin.Wait().status.ok());
+  EXPECT_EQ(rejected.Wait().status.code(), StatusCode::kInvalidArgument);
+
+  const RedeployHandle& redeploy = redeploys[0];
+  EXPECT_TRUE(redeploy.done());
+  EXPECT_TRUE(redeploy.WaitFor(0.0));
+  ASSERT_TRUE(redeploy.Wait().status.ok())
+      << redeploy.Wait().status.ToString();
+  EXPECT_EQ(redeploy.Wait().checks_run, 2);
+  redeploy.Cancel();
+  EXPECT_TRUE(redeploy.Wait().status.ok());
+  EXPECT_EQ(redeploy.Wait().checks_run, 2);
 }
 
 }  // namespace

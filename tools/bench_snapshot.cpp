@@ -18,6 +18,9 @@
 //   "higher" regression when value < baseline * (1 - tolerance)
 //   "near"   regression when |value - baseline| > tolerance * max(|b|, 1)
 //   ""       informational, never compared
+// A non-finite current value of a gated metric is always a regression (NaN
+// fails every comparison above), and a baseline whose gated values are not
+// all finite is rejected as unreadable.
 //
 // Only metrics sharing a name are compared, and names embed their
 // configuration (e.g. "hier.q256.ratio"), so snapshots taken at different
@@ -49,7 +52,9 @@ using cloudia::Flags;
 
 // -- Minimal JSON ------------------------------------------------------------
 // Parses exactly the subset the snapshot files use (objects, arrays,
-// strings, numbers, booleans, null); no dependencies.
+// strings, numbers, booleans, null); no dependencies. Nesting is bounded
+// (snapshot files nest 3 deep), so a hostile file fails to parse instead of
+// overflowing the stack.
 
 struct Json {
   enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
@@ -74,7 +79,7 @@ class JsonParser {
 
   bool Parse(Json* out) {
     SkipWs();
-    if (!ParseValue(out)) return false;
+    if (!ParseValue(out, 0)) return false;
     SkipWs();
     return pos_ == s_.size();
   }
@@ -115,9 +120,11 @@ class JsonParser {
     return true;
   }
 
-  bool ParseValue(Json* out) {
+  static constexpr int kMaxDepth = 32;
+
+  bool ParseValue(Json* out, int depth) {
     SkipWs();
-    if (pos_ >= s_.size()) return false;
+    if (pos_ >= s_.size() || depth > kMaxDepth) return false;
     const char c = s_[pos_];
     if (c == '{') {
       out->type = Json::Type::kObject;
@@ -132,7 +139,7 @@ class JsonParser {
         if (pos_ >= s_.size() || s_[pos_] != ':') return false;
         ++pos_;
         Json value;
-        if (!ParseValue(&value)) return false;
+        if (!ParseValue(&value, depth + 1)) return false;
         out->fields.emplace_back(std::move(key), std::move(value));
         SkipWs();
         if (pos_ < s_.size() && s_[pos_] == ',') { ++pos_; continue; }
@@ -147,7 +154,7 @@ class JsonParser {
       if (pos_ < s_.size() && s_[pos_] == ']') { ++pos_; return true; }
       while (true) {
         Json value;
-        if (!ParseValue(&value)) return false;
+        if (!ParseValue(&value, depth + 1)) return false;
         out->items.push_back(std::move(value));
         SkipWs();
         if (pos_ < s_.size() && s_[pos_] == ',') { ++pos_; continue; }
@@ -279,7 +286,9 @@ int CheckAgainstBaseline(const std::vector<Metric>& current,
     }
     ++compared;
     bool bad = false;
-    if (base.gate == "lower") {
+    if (!std::isfinite(cur->value)) {
+      bad = true;  // NaN would pass every comparison below
+    } else if (base.gate == "lower") {
       bad = cur->value > base.value * (1.0 + tolerance) + 1e-12;
     } else if (base.gate == "higher") {
       bad = cur->value < base.value * (1.0 - tolerance) - 1e-12;
@@ -421,6 +430,13 @@ int main(int argc, char** argv) {
     }
     std::vector<Metric> baseline;
     if (!ReadMetricsFile(baseline_path, &baseline)) return 2;
+    for (const Metric& m : baseline) {
+      if (!m.gate.empty() && !std::isfinite(m.value)) {
+        std::fprintf(stderr, "error: %s: gated metric %s is not finite\n",
+                     baseline_path.c_str(), m.name.c_str());
+        return 2;
+      }
+    }
     const int regressions = CheckAgainstBaseline(current, baseline, *tolerance);
     if (regressions > 0) {
       std::printf("overall: FAIL (%d regression(s) vs %s)\n", regressions,
