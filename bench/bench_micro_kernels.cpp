@@ -104,12 +104,16 @@ BENCHMARK(BM_LinkTableSample);
 // One staged measurement of an ec2 pool over 5 virtual s, reported per
 // sample (the "samples" counter): link-table build, RTT sampling and sample
 // accumulation together, the work a cold advise request is made of.
-void BM_MeasureStaged(benchmark::State& state) {
+// BM_MeasureStaged keeps the percentile reservoirs (the p99 path);
+// BM_MeasureStagedMoments keeps moments only, the path of every mean or
+// mean+SD request.
+void MeasureStaged(benchmark::State& state, bool keep_percentiles) {
   net::CloudSimulator cloud(net::AmazonEc2Profile(), 12);
   auto alloc = cloud.Allocate(static_cast<int>(state.range(0)));
   CLOUDIA_CHECK(alloc.ok());
   measure::ProtocolOptions options;
   options.duration_s = 5.0;
+  options.keep_percentiles = keep_percentiles;
   int64_t samples = 0;
   for (auto _ : state) {
     auto run = measure::RunStaged(cloud, *alloc, options);
@@ -119,7 +123,12 @@ void BM_MeasureStaged(benchmark::State& state) {
   }
   state.counters["samples"] = static_cast<double>(samples);
 }
+void BM_MeasureStaged(benchmark::State& state) { MeasureStaged(state, true); }
 BENCHMARK(BM_MeasureStaged)->Arg(55);
+void BM_MeasureStagedMoments(benchmark::State& state) {
+  MeasureStaged(state, false);
+}
+BENCHMARK(BM_MeasureStagedMoments)->Arg(55);
 
 void BM_AllDifferentPropagate(benchmark::State& state) {
   int n = static_cast<int>(state.range(0));
@@ -343,9 +352,10 @@ class CollectingReporter : public benchmark::ConsoleReporter {
 // Custom main instead of BENCHMARK_MAIN(): --json=PATH (or --json PATH) is
 // the repo-wide machine-readable-output flag. Most per-kernel times are
 // informational (gate ""); the Full/Delta ratios of the cost-eval kernels
-// are gated "speedup" metrics, and the staged measurement's ns per sample
-// is gated "lower" on absolute time (bench_snapshot takes its min over
-// interleaved reps, which discards the load noise).
+// are gated "speedup" metrics, and the staged measurements' ns per sample,
+// with and without reservoirs, are gated "lower" on absolute time
+// (bench_snapshot takes their min over interleaved reps, which discards
+// the load noise).
 int main(int argc, char** argv) {
   std::vector<std::string> args;
   args.reserve(static_cast<size_t>(argc));
@@ -374,7 +384,7 @@ int main(int argc, char** argv) {
 
   std::vector<cloudia::bench::Metric> metrics;
   for (const auto& [name, ns] : reporter.runs()) {
-    const bool gated = name.rfind("BM_MeasureStaged/", 0) == 0;
+    const bool gated = name.rfind("BM_MeasureStaged", 0) == 0;
     metrics.push_back(
         {"micro." + name + ".ns", ns, "ns", gated ? "lower" : ""});
   }

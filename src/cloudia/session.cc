@@ -52,6 +52,7 @@ Status DeploymentSession::Measure() {
                  options_.obs.parent);
   measure::ProtocolOptions popts;
   popts.msg_bytes = options_.probe_bytes;
+  popts.keep_percentiles = options_.metric == measure::CostMetric::kP99;
   popts.seed = measure::MeasurementProtocolSeed(options_.seed);
   popts.cancel = options_.cancel;
   popts.duration_s = options_.measure_duration_s > 0

@@ -1,45 +1,72 @@
 #include "measure/probe_engine.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/check.h"
+#include "common/stats.h"
 #include "common/table.h"
 
 namespace cloudia::measure {
 
-void LinkSamples::Add(double rtt_ms, Rng& rng) {
-  stats_.Add(rtt_ms);
-  if (reservoir_.size() < kReservoirCap) {
-    reservoir_.push_back(rtt_ms);
-  } else {
-    // Vitter's algorithm R: keep each sample with probability cap/count.
-    uint64_t idx = rng.Below(stats_.count());
-    if (idx < kReservoirCap) reservoir_[static_cast<size_t>(idx)] = rtt_ms;
+double LinkView::stddev() const {
+  if (moments_->count < 2) return 0.0;
+  return std::sqrt(moments_->m2 / static_cast<double>(moments_->count));
+}
+
+double LinkView::Percentile(double p) const {
+  CLOUDIA_CHECK(reservoir_ != nullptr);
+  const size_t held =
+      std::min(moments_->count, MeasurementResult::kReservoirCap);
+  if (held == 0) return moments_->mean;
+  return ::cloudia::Percentile(
+      std::vector<double>(reservoir_, reservoir_ + held), p);
+}
+
+MeasurementResult::MeasurementResult(int num_instances, bool keep_percentiles)
+    : n_(num_instances) {
+  CLOUDIA_CHECK(num_instances >= 0);
+  const size_t links =
+      static_cast<size_t>(num_instances) * static_cast<size_t>(num_instances);
+  moments_.resize(links);
+  if (keep_percentiles) {
+    reservoir_ =
+        std::make_unique_for_overwrite<double[]>(links * kReservoirCap);
   }
 }
 
-double LinkSamples::Percentile(double p) const {
-  if (reservoir_.empty()) return stats_.mean();
-  return ::cloudia::Percentile(reservoir_, p);
-}
-
-MeasurementResult::MeasurementResult(int num_instances)
-    : n_(num_instances),
-      links_(static_cast<size_t>(num_instances) *
-             static_cast<size_t>(num_instances)) {
-  CLOUDIA_CHECK(num_instances >= 0);
-}
-
-LinkSamples& MeasurementResult::Link(int i, int j) {
+size_t MeasurementResult::Index(int i, int j) const {
   CLOUDIA_DCHECK(i >= 0 && i < n_ && j >= 0 && j < n_ && i != j);
-  return links_[static_cast<size_t>(i) * static_cast<size_t>(n_) +
-                static_cast<size_t>(j)];
+  return static_cast<size_t>(i) * static_cast<size_t>(n_) +
+         static_cast<size_t>(j);
 }
 
-const LinkSamples& MeasurementResult::Link(int i, int j) const {
-  CLOUDIA_DCHECK(i >= 0 && i < n_ && j >= 0 && j < n_ && i != j);
-  return links_[static_cast<size_t>(i) * static_cast<size_t>(n_) +
-                static_cast<size_t>(j)];
+void MeasurementResult::Add(int i, int j, double rtt_ms, Rng& rng) {
+  const size_t link = Index(i, j);
+  LinkMoments& m = moments_[link];
+  ++m.count;
+  const double delta = rtt_ms - m.mean;
+  m.mean += delta / static_cast<double>(m.count);
+  m.m2 += delta * (rtt_ms - m.mean);
+  ++total_samples_;
+  // Vitter's algorithm R: the first kReservoirCap samples fill the slots,
+  // each later one replaces a random slot with probability cap/count. The
+  // draw is taken with or without a reservoir, so both see one RNG stream.
+  uint64_t slot = m.count - 1;
+  if (m.count > kReservoirCap) {
+    slot = rng.Below(m.count);
+    if (slot >= kReservoirCap) return;
+  }
+  if (reservoir_ != nullptr) {
+    reservoir_[link * kReservoirCap + static_cast<size_t>(slot)] = rtt_ms;
+  }
+}
+
+LinkView MeasurementResult::Link(int i, int j) const {
+  const size_t link = Index(i, j);
+  return LinkView(moments_[link], reservoir_ != nullptr
+                                      ? reservoir_.get() + link * kReservoirCap
+                                      : nullptr);
 }
 
 double MeasurementResult::CoverageFraction(size_t min_samples) const {
@@ -70,6 +97,11 @@ Result<deploy::CostMatrix> BuildCostMatrix(const MeasurementResult& r,
                                            CostMetric metric,
                                            const BuildCostMatrixOptions& options,
                                            CostMatrixCoverage* coverage) {
+  if (metric == CostMetric::kP99 && !r.keeps_percentiles()) {
+    return Status::InvalidArgument(
+        "the 99% metric needs percentile reservoirs, but this measurement "
+        "kept moments only; measure with ProtocolOptions::keep_percentiles");
+  }
   int n = r.num_instances();
   deploy::CostMatrix m(n);
   CostMatrixCoverage cov;
@@ -78,7 +110,7 @@ Result<deploy::CostMatrix> BuildCostMatrix(const MeasurementResult& r,
   for (int i = 0; i < n; ++i) {
     for (int j = 0; j < n; ++j) {
       if (i == j) continue;
-      const LinkSamples& link = r.Link(i, j);
+      const LinkView link = r.Link(i, j);
       if (link.count() < options.min_samples) {
         ++cov.missing_links;
         m.At(i, j) = options.fallback_ms;

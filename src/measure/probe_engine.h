@@ -1,49 +1,76 @@
 // Sample storage for pairwise RTT measurements plus the per-link estimate
 // queries the rest of ClouDiA consumes (mean / mean+SD / p99 matrices).
+// A run keeps per-link moments always and percentile reservoirs only when
+// asked to (ProtocolOptions::keep_percentiles), since only kP99 reads them.
 #ifndef CLOUDIA_MEASURE_PROBE_ENGINE_H_
 #define CLOUDIA_MEASURE_PROBE_ENGINE_H_
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/result.h"
 #include "common/rng.h"
-#include "common/stats.h"
 #include "deploy/cost_matrix.h"
 
 namespace cloudia::measure {
 
-/// Per-ordered-link accumulator: exact moments plus a bounded reservoir for
-/// percentile estimation.
-class LinkSamples {
+/// Welford moments of one ordered link, updated in exactly the order of
+/// OnlineStats::Add so that every mean and mean+SD is bit-identical to it.
+struct LinkMoments {
+  size_t count = 0;
+  double mean = 0.0;
+  double m2 = 0.0;  ///< sum of squared deviations from the running mean
+};
+
+/// Read-only view of one ordered link of a MeasurementResult.
+class LinkView {
  public:
-  static constexpr size_t kReservoirCap = 128;
+  LinkView(const LinkMoments& moments, const double* reservoir)
+      : moments_(&moments), reservoir_(reservoir) {}
 
-  void Add(double rtt_ms, Rng& rng);
-
-  size_t count() const { return stats_.count(); }
-  double mean() const { return stats_.mean(); }
-  double stddev() const { return stats_.stddev(); }
-  /// Percentile from the reservoir (falls back to mean when empty).
+  size_t count() const { return moments_->count; }
+  double mean() const { return moments_->mean; }
+  /// Population standard deviation; 0 for < 2 samples.
+  double stddev() const;
+  /// Percentile from the link's reservoir (the mean when it holds no
+  /// sample). Requires a result that keeps percentiles.
   double Percentile(double p) const;
 
  private:
-  OnlineStats stats_;
-  std::vector<double> reservoir_;
+  const LinkMoments* moments_;
+  // kReservoirCap slots, of which [0, min(count, kReservoirCap)) hold
+  // samples; null when the result keeps moments only.
+  const double* reservoir_;
 };
 
-/// All pairwise samples of one measurement run.
+/// All pairwise samples of one measurement run, stored flat.
+///
+/// Every result keeps each ordered link's moments (count, mean, m2): enough
+/// for the kMean and kMeanPlusStdDev matrices. Only a result constructed
+/// with `keep_percentiles` also keeps a kReservoirCap-sample reservoir per
+/// link (Vitter's algorithm R), the input of kP99: one n*n*kReservoirCap
+/// block of doubles, allocated once and left uninitialised, so the slots no
+/// sample reaches (the diagonal, links with few samples) never become
+/// resident. A moments-only result still takes the reservoir's RNG draw for
+/// every sample, so the two kinds of run see the same random stream and
+/// agree bit for bit on everything they both keep.
 class MeasurementResult {
  public:
-  explicit MeasurementResult(int num_instances);
+  static constexpr size_t kReservoirCap = 128;
+
+  explicit MeasurementResult(int num_instances, bool keep_percentiles = true);
 
   int num_instances() const { return n_; }
-  LinkSamples& Link(int i, int j);
-  const LinkSamples& Link(int i, int j) const;
+  bool keeps_percentiles() const { return reservoir_ != nullptr; }
+
+  /// Records one RTT sample of the ordered link i -> j.
+  void Add(int i, int j, double rtt_ms, Rng& rng);
+
+  LinkView Link(int i, int j) const;
 
   /// Samples recorded over all links.
   int64_t total_samples() const { return total_samples_; }
-  void NoteSample() { ++total_samples_; }
 
   /// Virtual time the measurement occupied the instances (ms).
   double virtual_time_ms = 0.0;
@@ -53,8 +80,11 @@ class MeasurementResult {
   double CoverageFraction(size_t min_samples) const;
 
  private:
+  size_t Index(int i, int j) const;
+
   int n_;
-  std::vector<LinkSamples> links_;  // n*n, diagonal unused
+  std::vector<LinkMoments> moments_;      // n*n row-major, diagonal unused
+  std::unique_ptr<double[]> reservoir_;   // n*n*kReservoirCap, or null
   int64_t total_samples_ = 0;
 };
 
@@ -96,7 +126,8 @@ struct CostMatrixCoverage {
 /// Builds the cost matrix CL for the chosen metric. Fails (or fills and
 /// reports, per `options`) when measurement coverage is below 100% at
 /// options.min_samples; `coverage`, when non-null, receives the counts
-/// either way.
+/// either way. kP99 on a result that kept no percentiles fails with
+/// InvalidArgument.
 Result<deploy::CostMatrix> BuildCostMatrix(
     const MeasurementResult& r, CostMetric metric,
     const BuildCostMatrixOptions& options = {},

@@ -82,7 +82,7 @@ Result<MeasurementResult> RunTokenPassing(
   const int n = static_cast<int>(instances.size());
   const net::LinkTable links(cloud, instances);
   Rng rng(options.seed);
-  MeasurementResult result(n);
+  MeasurementResult result(n, options.keep_percentiles);
   const double budget_ms = options.duration_s * 1e3;
   // Token passing cost: a small control message to the next holder. Model it
   // as half an RTT of a tiny (64-byte) message.
@@ -112,8 +112,7 @@ Result<MeasurementResult> RunTokenPassing(
       double rtt = links.Sample(i, j, options.msg_bytes,
                                 HoursAt(options.start_t_hours, now), rng);
       now += rtt;
-      result.Link(i, j).Add(rtt, rng);
-      result.NoteSample();
+      result.Add(i, j, rtt, rng);
     }
   }
   result.virtual_time_ms = now;
@@ -128,7 +127,7 @@ Result<MeasurementResult> RunUncoordinated(
   const int n = static_cast<int>(instances.size());
   const net::LinkTable links(cloud, instances);
   Rng rng(options.seed);
-  MeasurementResult result(n);
+  MeasurementResult result(n, options.keep_percentiles);
   EventQueue queue;
   const double budget_ms = options.duration_s * 1e3;
   const double occupy = OccupancyMs(cloud, options.msg_bytes);
@@ -164,8 +163,7 @@ Result<MeasurementResult> RunUncoordinated(
       queue.ScheduleAt(handle_start + occupy + one_way,
                        [&, i, j, depart]() {
                          double measured = queue.now_ms() - depart;
-                         result.Link(i, j).Add(measured, rng);
-                         result.NoteSample();
+                         result.Add(i, j, measured, rng);
                          start_probe(i);  // immediately start the next probe
                        });
     });
@@ -189,7 +187,7 @@ Result<MeasurementResult> RunStaged(const net::CloudSimulator& cloud,
   if (options.ks < 1) return Status::InvalidArgument("ks must be >= 1");
   const net::LinkTable links(cloud, instances);
   Rng rng(options.seed);
-  MeasurementResult result(n);
+  MeasurementResult result(n, options.keep_percentiles);
   const double budget_ms = options.duration_s * 1e3;
   // Stage coordination: the coordinator notifies each pair's prober and
   // waits for completion notices. Modeled as one tiny-message RTT of
@@ -222,8 +220,7 @@ Result<MeasurementResult> RunStaged(const net::CloudSimulator& cloud,
             i, j, options.msg_bytes,
             HoursAt(options.start_t_hours, now + pair_time), rng);
         pair_time += rtt;
-        result.Link(i, j).Add(rtt, rng);
-        result.NoteSample();
+        result.Add(i, j, rtt, rng);
       }
       stage_time = std::max(stage_time, pair_time);
     }

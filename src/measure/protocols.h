@@ -32,6 +32,14 @@ struct ProtocolOptions {
   /// Hour-of-day at which measurement starts (drives mean drift).
   double start_t_hours = 0.0;
   uint64_t seed = 1;
+  /// Whether the result keeps a percentile reservoir per link (see
+  /// MeasurementResult). Only BuildCostMatrix(kP99) reads one; without it a
+  /// run keeps per-link moments only (24 bytes a link instead of 1 KB more),
+  /// and a kP99 build on its result fails with InvalidArgument. The random
+  /// stream is the same either way, so the mean and mean+SD matrices, the
+  /// virtual time and the sample count are bit-identical. Callers that
+  /// build one known metric set this to `metric == CostMetric::kP99`.
+  bool keep_percentiles = true;
   /// Cooperative abort: the protocols poll this token between probes and
   /// fail with Status::Cancelled when tripped. A measurement is the billed,
   /// minutes-long step of a real run, so an abandoned request must be able

@@ -101,6 +101,7 @@ LinkParams LatencyModel::Link(int vm_a, int host_a, int vm_b, int host_b) const 
   lp.jitter_scale_ms =
       profile_.jitter_scale_lo_ms +
       ju * (profile_.jitter_scale_hi_ms - profile_.jitter_scale_lo_ms);
+  lp.jitter_rate = 1.0 / lp.jitter_scale_ms;
   double fu = HashUniform(Combine(kTagBurstFrac, host_pair));
   lp.burst_frac = profile_.burst_frac_max * fu * fu * fu;
   double mu = HashUniform(Combine(kTagBurstMag, host_pair));
@@ -163,7 +164,7 @@ double LatencyModel::SampleRtt(const LinkParams& link, double msg_bytes,
   double rtt = link.static_mean_ms * DriftMultiplier(link, t_hours);
   rtt += 2.0 * SerializationMs(msg_bytes);
   rtt += 2.0 * profile_.per_message_overhead_ms;
-  rtt += rng.Exponential(1.0 / link.jitter_scale_ms);
+  rtt += rng.Exponential(link.jitter_rate);
   rtt += BurstAt(link, t_hours);
   return rtt;
 }

@@ -32,6 +32,7 @@ namespace cloudia::net {
 struct LinkParams {
   double static_mean_ms = 0.0;  ///< mean RTT at t=0 for 0-byte messages
   double jitter_scale_ms = 0.0; ///< mean of the exponential jitter term
+  double jitter_rate = 0.0;     ///< 1 / jitter_scale_ms, its rate (per ms)
   double burst_frac = 0.0;      ///< long-run fraction of time in burst state
   double burst_magnitude_ms = 0.0;  ///< latency added while bursting
   uint64_t burst_key = 0;       ///< hash key for per-window burst decisions

@@ -92,6 +92,7 @@ Result<OnlineOutcome> RunOnlineRedeployment(
               options.measure_seed +
               0x9e3779b97f4a7c15ULL *
                   static_cast<uint64_t>(outcome.escalations));
+          popts.keep_percentiles = options.metric == measure::CostMetric::kP99;
           popts.cancel = options.cancel;
           popts.duration_s = options.measure_duration_s > 0
                                  ? options.measure_duration_s

@@ -66,6 +66,7 @@ Result<MeasuredEnvironment> MeasureEnvironment(const EnvironmentSpec& spec,
   // the two paths bit-identical (test_advisor_service pins this).
   measure::ProtocolOptions popts;
   popts.msg_bytes = spec.probe_bytes;
+  popts.keep_percentiles = spec.metric == measure::CostMetric::kP99;
   popts.seed = measure::MeasurementProtocolSeed(spec.seed);
   popts.cancel = cancel;
   popts.duration_s =

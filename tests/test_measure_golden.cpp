@@ -8,14 +8,19 @@
 // or to the floating-point order of the sample formula changes them. Every
 // protocol runs on a static cloud and on one whose NetworkDynamics
 // (congestion plus relocation) starts mid-run, so probes both before and
-// after VMs move are covered.
+// after VMs move are covered. A run that keeps moments only must agree bit
+// for bit with a full run on everything both keep.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 
+#include "cloudia/session.h"
+#include "graph/templates.h"
 #include "measure/protocols.h"
 #include "netsim/cloud.h"
 #include "netsim/dynamics.h"
+#include "service/advisor_service.h"
 #include "service/environment.h"
 
 namespace cloudia::measure {
@@ -60,7 +65,16 @@ struct GoldenCase {
   uint64_t want;
 };
 
-uint64_t RunCase(const GoldenCase& c) {
+constexpr GoldenCase kCases[] = {
+    {Protocol::kStaged, false, 20.0, 0xc53fba82942ea992ULL},
+    {Protocol::kStaged, true, 20.0, 0x0f91b5bccc37aceeULL},
+    {Protocol::kTokenPassing, false, 10.0, 0x8531691fe9cdd34bULL},
+    {Protocol::kTokenPassing, true, 10.0, 0x84f7d69121041a41ULL},
+    {Protocol::kUncoordinated, false, 10.0, 0x103650ef4bc1eb0cULL},
+    {Protocol::kUncoordinated, true, 10.0, 0x6d07d2cfa8d67871ULL},
+};
+
+Result<MeasurementResult> RunCase(const GoldenCase& c, bool keep_percentiles) {
   net::CloudSimulator cloud(net::AmazonEc2Profile(), 21);
   auto pool = cloud.Allocate(16);
   EXPECT_TRUE(pool.ok());
@@ -68,6 +82,7 @@ uint64_t RunCase(const GoldenCase& c) {
   options.duration_s = c.duration_s;
   options.start_t_hours = 2.0;
   options.seed = 99;
+  options.keep_percentiles = keep_percentiles;
   net::DynamicsConfig config;
   // Both processes switch on halfway through the run: about 30% of the
   // VMs move to another host and a third of the rack pairs congest.
@@ -77,25 +92,45 @@ uint64_t RunCase(const GoldenCase& c) {
   config.seed = 5;
   net::NetworkDynamics dynamics(config, &cloud.topology());
   if (c.dynamic) cloud.AttachDynamics(&dynamics);
-  auto r = RunProtocol(cloud, *pool, c.protocol, options);
-  EXPECT_TRUE(r.ok()) << r.status().ToString();
-  return r.ok() ? HashRun(*r) : 0;
+  return RunProtocol(cloud, *pool, c.protocol, options);
+}
+
+std::string CaseName(const GoldenCase& c) {
+  return std::string(ProtocolName(c.protocol)) +
+         (c.dynamic ? " dynamic" : " static");
 }
 
 TEST(MeasureGoldenTest, ProtocolRunsAreBitIdentical) {
-  const GoldenCase cases[] = {
-      {Protocol::kStaged, false, 20.0, 0xc53fba82942ea992ULL},
-      {Protocol::kStaged, true, 20.0, 0x0f91b5bccc37aceeULL},
-      {Protocol::kTokenPassing, false, 10.0, 0x8531691fe9cdd34bULL},
-      {Protocol::kTokenPassing, true, 10.0, 0x84f7d69121041a41ULL},
-      {Protocol::kUncoordinated, false, 10.0, 0x103650ef4bc1eb0cULL},
-      {Protocol::kUncoordinated, true, 10.0, 0x6d07d2cfa8d67871ULL},
-  };
-  for (const GoldenCase& c : cases) {
-    const uint64_t got = RunCase(c);
-    EXPECT_EQ(got, c.want) << ProtocolName(c.protocol)
-                           << (c.dynamic ? " dynamic" : " static") << ": got 0x"
-                           << std::hex << got;
+  for (const GoldenCase& c : kCases) {
+    auto r = RunCase(c, /*keep_percentiles=*/true);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    const uint64_t got = HashRun(*r);
+    EXPECT_EQ(got, c.want) << CaseName(c) << ": got 0x" << std::hex << got;
+  }
+}
+
+// A moments-only run takes the same random draws as a full one, so the
+// mean and mean+SD matrices, the virtual time and the sample count agree
+// bit for bit; only the p99 build is refused.
+TEST(MeasureGoldenTest, MomentsOnlyRunsMatchFullRuns) {
+  for (const GoldenCase& c : kCases) {
+    auto full = RunCase(c, /*keep_percentiles=*/true);
+    auto moments = RunCase(c, /*keep_percentiles=*/false);
+    ASSERT_TRUE(full.ok() && moments.ok()) << CaseName(c);
+    EXPECT_TRUE(full->keeps_percentiles());
+    EXPECT_FALSE(moments->keeps_percentiles());
+    for (CostMetric metric : {CostMetric::kMean, CostMetric::kMeanPlusStdDev}) {
+      auto a = BuildCostMatrix(*full, metric);
+      auto b = BuildCostMatrix(*moments, metric);
+      ASSERT_TRUE(a.ok() && b.ok()) << CaseName(c);
+      EXPECT_EQ(HashMatrix(*a, kFnvOffset), HashMatrix(*b, kFnvOffset))
+          << CaseName(c) << " " << CostMetricName(metric);
+    }
+    EXPECT_EQ(full->virtual_time_ms, moments->virtual_time_ms) << CaseName(c);
+    EXPECT_EQ(full->total_samples(), moments->total_samples()) << CaseName(c);
+    auto p99 = BuildCostMatrix(*moments, CostMetric::kP99);
+    ASSERT_FALSE(p99.ok()) << CaseName(c);
+    EXPECT_EQ(p99.status().code(), StatusCode::kInvalidArgument);
   }
 }
 
@@ -132,6 +167,41 @@ TEST(MeasureGoldenTest, MeasureEnvironmentIsBitIdentical) {
   uint64_t h = HashMatrix(env->costs, kFnvOffset);
   h = Fnv1a(&env->measure_virtual_s, sizeof(env->measure_virtual_s), h);
   EXPECT_EQ(h, 0x4b50983145f412a5ULL) << "got 0x" << std::hex << h;
+}
+
+// A p99 request through the service and a p99 session both keep the
+// percentile reservoirs their matrix is built from.
+TEST(MeasureGoldenTest, P99ServiceRequestAndSessionAreBitIdentical) {
+  graph::CommGraph app = graph::Mesh2D(3, 4);
+  service::DeploymentRequest req;
+  req.environment.provider = "ec2";
+  req.environment.instances = 14;
+  req.environment.metric = CostMetric::kP99;
+  req.environment.measure_duration_s = 20.0;
+  req.environment.seed = 7;
+  req.app = &app;
+  req.solve.method = "g2";
+  service::AdvisorService::Options options;
+  options.threads = 1;
+  service::AdvisorService service(options);
+  const service::EnvironmentSpec spec = req.environment;
+  ASSERT_TRUE(service.Submit(std::move(req)).Wait().status.ok());
+  auto cached = service.cache().Get(spec);
+  ASSERT_TRUE(cached.ok()) << cached.status().ToString();
+  EXPECT_TRUE(cached->hit);
+  const uint64_t served = HashMatrix(cached->entry->costs, kFnvOffset);
+  EXPECT_EQ(served, 0x68ab235b6b5d22b9ULL) << "got 0x" << std::hex << served;
+
+  net::CloudSimulator cloud(net::AmazonEc2Profile(), 11);
+  SessionOptions session_options;
+  session_options.metric = CostMetric::kP99;
+  session_options.measure_duration_s = 20.0;
+  session_options.seed = 7;
+  DeploymentSession session(&cloud, &app, session_options);
+  ASSERT_TRUE(session.Measure().ok());
+  const uint64_t measured = HashMatrix(session.costs(), kFnvOffset);
+  EXPECT_EQ(measured, 0x00cbe4f1c5499f98ULL)
+      << "got 0x" << std::hex << measured;
 }
 
 }  // namespace

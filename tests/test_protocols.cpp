@@ -280,20 +280,38 @@ TEST(ProtocolNamesTest, Names) {
 
 TEST(LinkSamplesTest, MomentsAndPercentiles) {
   Rng rng(1);
-  LinkSamples s;
-  for (int i = 1; i <= 100; ++i) s.Add(i, rng);
+  MeasurementResult r(2);
+  for (int i = 1; i <= 100; ++i) r.Add(0, 1, i, rng);
+  const LinkView s = r.Link(0, 1);
   EXPECT_EQ(s.count(), 100u);
   EXPECT_NEAR(s.mean(), 50.5, 1e-9);
   EXPECT_NEAR(s.Percentile(99), 99, 2.0);
+  EXPECT_EQ(r.Link(1, 0).count(), 0u);
+  EXPECT_EQ(r.total_samples(), 100);
 }
 
 TEST(LinkSamplesTest, ReservoirBounded) {
   Rng rng(2);
-  LinkSamples s;
-  for (int i = 0; i < 100000; ++i) s.Add(rng.Uniform(), rng);
-  EXPECT_EQ(s.count(), 100000u);
+  MeasurementResult r(2);
+  for (int i = 0; i < 100000; ++i) r.Add(1, 0, rng.Uniform(), rng);
+  EXPECT_EQ(r.Link(1, 0).count(), 100000u);
   // Percentile still sane from the bounded reservoir.
-  EXPECT_NEAR(s.Percentile(50), 0.5, 0.15);
+  EXPECT_NEAR(r.Link(1, 0).Percentile(50), 0.5, 0.15);
+}
+
+// The flat moments match OnlineStats bit for bit.
+TEST(LinkSamplesTest, MomentsMatchOnlineStats) {
+  Rng rng(6), draws(7);
+  MeasurementResult r(2, /*keep_percentiles=*/false);
+  OnlineStats want;
+  for (int i = 0; i < 1000; ++i) {
+    const double x = 0.3 + draws.Exponential(4.0);
+    r.Add(0, 1, x, rng);
+    want.Add(x);
+  }
+  EXPECT_EQ(r.Link(0, 1).count(), want.count());
+  EXPECT_EQ(r.Link(0, 1).mean(), want.mean());
+  EXPECT_EQ(r.Link(0, 1).stddev(), want.stddev());
 }
 
 TEST(BuildCostMatrixTest, MetricsOrdering) {
@@ -302,7 +320,7 @@ TEST(BuildCostMatrixTest, MetricsOrdering) {
   for (int k = 0; k < 500; ++k) {
     for (int i = 0; i < 3; ++i) {
       for (int j = 0; j < 3; ++j) {
-        if (i != j) r.Link(i, j).Add(0.5 + rng.Exponential(10.0), rng);
+        if (i != j) r.Add(i, j, 0.5 + rng.Exponential(10.0), rng);
       }
     }
   }
@@ -324,7 +342,7 @@ TEST(BuildCostMatrixTest, MetricsOrdering) {
 TEST(BuildCostMatrixTest, UnsampledLinksFailTheBuildByDefault) {
   Rng rng(4);
   MeasurementResult r(3);
-  r.Link(0, 1).Add(0.7, rng);  // 1 of 6 ordered links sampled
+  r.Add(0, 1, 0.7, rng);  // 1 of 6 ordered links sampled
   auto failed = BuildCostMatrix(r, CostMetric::kMean);
   ASSERT_FALSE(failed.ok());
   EXPECT_EQ(failed.status().code(), StatusCode::kInvalidArgument);
@@ -353,9 +371,9 @@ TEST(BuildCostMatrixTest, ExplicitFallbackFillsAndReportsMissingLinks) {
 TEST(BuildCostMatrixTest, MinSamplesGatesCoverage) {
   Rng rng(5);
   MeasurementResult r(2);
-  r.Link(0, 1).Add(0.6, rng);
-  r.Link(1, 0).Add(0.8, rng);
-  r.Link(1, 0).Add(0.9, rng);
+  r.Add(0, 1, 0.6, rng);
+  r.Add(1, 0, 0.8, rng);
+  r.Add(1, 0, 0.9, rng);
   BuildCostMatrixOptions opts;
   opts.min_samples = 2;
   EXPECT_FALSE(BuildCostMatrix(r, CostMetric::kMean, opts).ok());

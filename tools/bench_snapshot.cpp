@@ -33,6 +33,12 @@
 // one kernel interleave with the others' and CPU-frequency drift hits all
 // kernels alike.
 //
+// A bench that exits non-zero does not stop the run: every bench runs, the
+// metrics each one wrote (a bench whose own gate failed still writes them)
+// are merged and compared, and bench_snapshot then lists the failed benches
+// and exits 2. A metrics file whose "value" is not a number, or whose
+// "name", "unit" or "gate" is not a string, is unreadable (exit 2).
+//
 // Flags: --bench-dir=DIR (default "bench"), --out=PATH (default "-"),
 // --merge=CSV, --current=PATH, --check, --baseline=PATH, --tolerance=F,
 // --skip=CSV (bench names to not run).
@@ -218,7 +224,7 @@ bool ReadMetricsFile(const std::string& path, std::vector<Metric>* out) {
     return false;
   }
   const Json* metrics = root.Find("metrics");
-  if (metrics == nullptr) {
+  if (metrics == nullptr || metrics->type != Json::Type::kArray) {
     std::fprintf(stderr, "error: %s has no \"metrics\" array\n",
                  path.c_str());
     return false;
@@ -233,6 +239,19 @@ bool ReadMetricsFile(const std::string& path, std::vector<Metric>* out) {
     }
     const Json* unit = m.Find("unit");
     const Json* gate = m.Find("gate");
+    for (const auto& [key, field] :
+         {std::pair{"name", name}, {"unit", unit}, {"gate", gate}}) {
+      if (field != nullptr && field->type != Json::Type::kString) {
+        std::fprintf(stderr, "error: %s: a metric's \"%s\" is not a string\n",
+                     path.c_str(), key);
+        return false;
+      }
+    }
+    if (value->type != Json::Type::kNumber) {
+      std::fprintf(stderr, "error: %s: metric %s: \"value\" is not a number\n",
+                   path.c_str(), name->string.c_str());
+      return false;
+    }
     out->push_back({name->string, value->number,
                     unit != nullptr ? unit->string : "",
                     gate != nullptr ? gate->string : ""});
@@ -387,6 +406,8 @@ int main(int argc, char** argv) {
   const std::vector<std::string> skip = SplitCsv(flags->GetString("skip", ""));
 
   std::vector<Metric> current;
+  // Benches that exited non-zero or wrote no readable metrics.
+  std::vector<std::string> failed;
   if (!current_path.empty()) {
     if (!ReadMetricsFile(current_path, &current)) return 2;
   } else if (!merge_csv.empty()) {
@@ -401,19 +422,28 @@ int main(int argc, char** argv) {
           spec.name + ".part.json";
       const std::string cmd = bench_dir + "/" + spec.name + " " +
                               spec.smoke_args + " --json=" + part;
-      std::vector<std::vector<Metric>> reps(static_cast<size_t>(spec.reps));
-      for (std::vector<Metric>& rep : reps) {
+      std::vector<std::vector<Metric>> reps;
+      bool ok = true;
+      for (int rep = 0; rep < spec.reps; ++rep) {
         std::printf("== %s\n", cmd.c_str());
         std::fflush(stdout);
         const int rc = std::system(cmd.c_str());
         if (rc != 0) {
           std::fprintf(stderr, "error: '%s' exited with %d\n", cmd.c_str(),
                        rc);
-          return 2;
+          ok = false;
         }
-        if (!ReadMetricsFile(part, &rep)) return 2;
+        // A bench whose own gate failed still wrote its metrics; keep them.
+        std::vector<Metric> metrics;
+        if (ReadMetricsFile(part, &metrics)) {
+          reps.push_back(std::move(metrics));
+        } else {
+          ok = false;
+        }
         std::remove(part.c_str());
       }
+      if (!ok) failed.push_back(spec.name);
+      if (reps.empty()) continue;
       for (const Metric& m : CombineReps(reps)) current.push_back(m);
     }
   }
@@ -423,6 +453,7 @@ int main(int argc, char** argv) {
     if (out_path != "-") std::printf("wrote %s\n", out_path.c_str());
   }
 
+  int regressions = 0;
   if (check) {
     if (baseline_path.empty()) {
       std::fprintf(stderr, "error: --check needs --baseline=PATH\n");
@@ -437,12 +468,22 @@ int main(int argc, char** argv) {
         return 2;
       }
     }
-    const int regressions = CheckAgainstBaseline(current, baseline, *tolerance);
-    if (regressions > 0) {
-      std::printf("overall: FAIL (%d regression(s) vs %s)\n", regressions,
-                  baseline_path.c_str());
-      return 1;
+    regressions = CheckAgainstBaseline(current, baseline, *tolerance);
+  }
+  if (!failed.empty()) {
+    std::string names;
+    for (const std::string& name : failed) {
+      names += (names.empty() ? "" : ", ") + name;
     }
+    std::printf("overall: FAIL (failed bench(es): %s)\n", names.c_str());
+    return 2;
+  }
+  if (regressions > 0) {
+    std::printf("overall: FAIL (%d regression(s) vs %s)\n", regressions,
+                baseline_path.c_str());
+    return 1;
+  }
+  if (check) {
     std::printf("overall: PASS (no regression vs %s)\n",
                 baseline_path.c_str());
   }
