@@ -117,37 +117,10 @@ Result<SessionSolve> DeploymentSession::Solve(const SolveSpec& spec) {
         std::to_string(allocated_.size()) + " instances");
   }
 
+  // The canonical name labels the span and the history entry; the solve
+  // itself goes through the facade, which checks the objective and graph.
   CLOUDIA_ASSIGN_OR_RETURN(const deploy::NdpSolver* solver,
                            deploy::SolverRegistry::Global().Require(spec.method));
-  if (!solver->Supports(spec.objective.primary)) {
-    return Status::InvalidArgument(
-        std::string(solver->display_name()) + " is not formulated for the " +
-        deploy::ObjectiveName(spec.objective) +
-        " objective (see paper Sect. 4.4 for the CP/LPNDP case)");
-  }
-  // Validate objective/graph compatibility before launching the solver.
-  CLOUDIA_ASSIGN_OR_RETURN(
-      deploy::CostEvaluator eval,
-      deploy::CostEvaluator::Create(graph, &costs_, spec.objective));
-
-  deploy::NdpProblem problem;
-  problem.graph = graph;
-  problem.costs = &costs_;
-  problem.objective = spec.objective;
-
-  deploy::NdpSolveOptions sopts;
-  sopts.objective = spec.objective;
-  sopts.cost_clusters = spec.cost_clusters;
-  sopts.r1_samples = spec.r1_samples;
-  sopts.threads = spec.threads;
-  sopts.portfolio_members = spec.portfolio_members;
-  sopts.seed = spec.seed;
-  sopts.initial = spec.initial;
-  sopts.warm_start_hints = spec.warm_start_hints;
-  sopts.hier_clusters = spec.hier_clusters;
-  sopts.hier_shard_solver = spec.hier_shard_solver;
-  sopts.hier_polish_steps = spec.hier_polish_steps;
-
   obs::Span span(options_.obs.tracer,
                  std::string("session.solve.") + solver->name(), "session",
                  options_.obs.parent);
@@ -161,13 +134,18 @@ Result<SessionSolve> DeploymentSession::Solve(const SolveSpec& spec) {
     context.set_obs(options_.obs.tracer, span.id(), solver->name());
   }
   CLOUDIA_ASSIGN_OR_RETURN(deploy::NdpSolveResult result,
-                           solver->Solve(problem, sopts, context));
+                           deploy::SolveNodeDeploymentByName(
+                               *graph, costs_, solver->name(), spec, context));
 
   SessionSolve solve;
   solve.method = solver->name();
   solve.objective = spec.objective;
   solve.wall_s = context.ElapsedSeconds();
   solve.cost_ms = result.cost;
+
+  CLOUDIA_ASSIGN_OR_RETURN(
+      deploy::CostEvaluator eval,
+      deploy::CostEvaluator::Create(graph, &costs_, spec.objective));
 
   deploy::Deployment default_deployment(static_cast<size_t>(n));
   for (int i = 0; i < n; ++i) default_deployment[static_cast<size_t>(i)] = i;

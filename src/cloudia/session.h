@@ -17,7 +17,8 @@
 //   CLOUDIA_CHECK(session.Measure().ok());          // allocates, then probes
 //   for (const char* method : {"g2", "cp", "local"}) {
 //     SolveSpec spec;
-//     spec.method = method;
+//     spec.method = method;                         // registry name
+//     spec.time_budget_s = 5.0;                     // NdpSolveOptions knob
 //     auto solve = session.Solve(spec);             // reuses the cost matrix
 //     // solve->cost_ms, solve->placement, solve->predicted_improvement ...
 //   }
@@ -72,39 +73,25 @@ struct SessionOptions {
   obs::ObsConfig obs;
 };
 
-/// One Solve() request: which registered solver to run, under which
-/// objective and budget, with optional observation and cancellation.
-struct SolveSpec {
+/// One Solve() request. The solver knobs -- objective, time_budget_s,
+/// cost_clusters, r1_samples, threads, seed, portfolio_members, initial,
+/// warm_start_hints and the hier_* knobs -- are deploy::NdpSolveOptions',
+/// inherited so each is declared once and the spec itself is what the
+/// solver reads (deploy/solve.h documents them). SolveSpec adds only what a
+/// session needs on top: the solver's registry name, the graph, and
+/// observation and cancellation.
+///
+/// Two differences from NdpSolveOptions:
+///   - `method` is a registry name. It hides the inherited deploy::Method
+///     enum, which no solver reads; that field goes when the enum does.
+///   - cost_clusters defaults to 20 (paper: k=20 is LLNDP-CP's best), as in
+///     the request grammar; NdpSolveOptions defaults to 0.
+struct SolveSpec : deploy::NdpSolveOptions {
+  SolveSpec() { cost_clusters = 20; }
+
   /// Registry name, case-insensitive ("g1", "g2", "r1", "r2", "cp", "mip",
   /// "local", or any solver registered at startup).
   std::string method = "cp";
-  /// Primary latency objective plus optional weighted price / migration
-  /// terms (deploy/cost.h); a bare Objective enum converts to the degenerate
-  /// latency-only spec.
-  deploy::ObjectiveSpec objective;
-  /// Wall-clock budget for R2 / CP / MIP (ignored by G1/G2/R1).
-  double time_budget_s = 60.0;
-  /// k-means cost clusters for CP / MIP; 0 = no clustering (paper: k=20 best
-  /// for LLNDP-CP, none for LPNDP-MIP).
-  int cost_clusters = 20;
-  /// Samples for R1 (the paper uses 1,000).
-  int r1_samples = 1000;
-  /// Worker threads for R2 and the portfolio; 0 = hardware concurrency.
-  int threads = 0;
-  /// Member solvers for method "portfolio" (registry names); empty selects
-  /// the default set ("cp", "mip", "local", "r2").
-  std::vector<std::string> portfolio_members;
-  uint64_t seed = 1;
-  /// Optional starting deployment for CP / MIP (empty = best of 10 random).
-  deploy::Deployment initial;
-  /// CP: warm-start iterations with the previous solution's values.
-  bool warm_start_hints = false;
-  /// Hier: instance clusters; 0 = auto (latency-threshold derived).
-  int hier_clusters = 0;
-  /// Hier: per-shard solver (registry name); empty = "local".
-  std::string hier_shard_solver;
-  /// Hier: accepted-step budget for the boundary polish.
-  int hier_polish_steps = 2000;
 
   /// Application graph for this solve; nullptr = the session's graph. Any
   /// graph whose node count fits the allocated instance pool is valid, so

@@ -32,17 +32,10 @@ Result<NdpSolveResult> SolveNodeDeploymentByName(const graph::CommGraph& graph,
 
 Result<NdpSolveResult> SolveNodeDeployment(const graph::CommGraph& graph,
                                            const CostMatrix& costs,
-                                           const NdpSolveOptions& options,
-                                           SolveContext& context) {
-  return SolveNodeDeploymentByName(graph, costs, MethodKey(options.method),
-                                   options, context);
-}
-
-Result<NdpSolveResult> SolveNodeDeployment(const graph::CommGraph& graph,
-                                           const CostMatrix& costs,
                                            const NdpSolveOptions& options) {
   SolveContext context(Deadline::After(options.time_budget_s));
-  return SolveNodeDeployment(graph, costs, options, context);
+  return SolveNodeDeploymentByName(graph, costs, MethodKey(options.method),
+                                   options, context);
 }
 
 }  // namespace cloudia::deploy

@@ -1,15 +1,17 @@
-// Facade over all node-deployment search methods (paper Sect. 4): one entry
-// point that dispatches through the SolverRegistry (deploy/solver_registry.h)
-// to greedy (G1/G2), randomized (R1/R2), CP threshold descent, or the MIP
-// encodings, honoring the paper's method/objective compatibility (CP is only
+// The one entry point for node-deployment search (paper Sect. 4):
+// SolveNodeDeploymentByName looks a solver up in the SolverRegistry
+// (deploy/solver_registry.h) by name -- greedy (G1/G2), randomized (R1/R2),
+// CP threshold descent, the MIP encodings, or any solver registered at
+// startup -- checks the paper's method/objective compatibility (CP is only
 // formulated for LLNDP, Sect. 4.4; greedy solves LLNDP and serves as a
-// heuristic for LPNDP, Sect. 4.5.2).
+// heuristic for LPNDP, Sect. 4.5.2), and runs it under a SolveContext.
+// cloudia::DeploymentSession::Solve and every other layer that solves a flat
+// problem dispatch through it.
 //
-// Dispatch is name-based: call SolveNodeDeploymentByName with a registry name
-// ("cp", "g2", ...) and a SolveContext, or go through the staged
-// cloudia::DeploymentSession. The Method enum and its overloads remain only
-// because advbench/driver.cc still calls them; new code names solvers by
-// registry key.
+// What else is left here and why: NdpSolveOptions holds every solver knob
+// (cloudia::SolveSpec inherits it). The Method enum, its `method` field and
+// the budget-only overload of SolveNodeDeployment remain only because
+// advbench/driver.cc still uses them; new code names solvers by registry key.
 #ifndef CLOUDIA_DEPLOY_SOLVE_H_
 #define CLOUDIA_DEPLOY_SOLVE_H_
 
@@ -49,9 +51,11 @@ struct NdpSolveOptions {
   /// degenerate latency-only spec, which is bit-identical to the pre-spec
   /// behavior.
   ObjectiveSpec objective;
+  /// Read only by the budget-only SolveNodeDeployment overload.
   Method method = Method::kCp;
-  /// Wall-clock budget for R2 / CP / MIP (ignored by G1/G2/R1). Ignored by
-  /// the SolveContext overload, whose context carries the deadline.
+  /// Wall-clock budget for R2 / CP / MIP (ignored by G1/G2/R1). Solvers read
+  /// the deadline from their SolveContext; this field is what the caller
+  /// building that context (the session, the budget-only overload) reads.
   double time_budget_s = 60.0;
   /// k-means cost clusters for CP / MIP; 0 = no clustering. The paper's best
   /// configuration is k=20 for LLNDP-CP and no clustering for LPNDP-MIP.
@@ -78,26 +82,21 @@ struct NdpSolveOptions {
   int hier_polish_steps = 2000;
 };
 
-/// Runs the selected method under `context` (deadline, cancellation,
-/// progress). Fails on invalid input or on method/objective combinations the
-/// paper does not define (CP for LPNDP).
-Result<NdpSolveResult> SolveNodeDeployment(const graph::CommGraph& graph,
-                                           const CostMatrix& costs,
-                                           const NdpSolveOptions& options,
-                                           SolveContext& context);
-
-/// Name-based variant: dispatches to any solver registered under `method`
-/// (case-insensitive registry key or display name), including solvers beyond
-/// the Method enum. The enum overload is a thin wrapper over this;
-/// `options.method` is ignored here.
+/// Runs the solver registered under `method` (case-insensitive registry key
+/// or display name) under `context` (deadline, cancellation, progress).
+/// Fails on an unknown name, on a graph or objective the cost matrix cannot
+/// evaluate, and on method/objective combinations the paper does not define
+/// (CP for LPNDP). `options.method` and `options.time_budget_s` are ignored:
+/// the name and the context carry them.
 Result<NdpSolveResult> SolveNodeDeploymentByName(const graph::CommGraph& graph,
                                                  const CostMatrix& costs,
                                                  std::string_view method,
                                                  const NdpSolveOptions& options,
                                                  SolveContext& context);
 
-/// Convenience overload: budget-only context built from
-/// `options.time_budget_s`, no cancellation, no progress callback.
+/// Budget-only overload, kept for advbench's replay: runs
+/// MethodKey(options.method) under a context built from
+/// `options.time_budget_s`, with no cancellation and no progress callback.
 Result<NdpSolveResult> SolveNodeDeployment(const graph::CommGraph& graph,
                                            const CostMatrix& costs,
                                            const NdpSolveOptions& options);

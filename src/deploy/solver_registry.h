@@ -4,7 +4,7 @@
 // The global registry self-populates with the paper's methods (G1/G2, R1/R2,
 // CP, MIP) and the local-search extension on first use; additional solvers
 // can be registered at startup and become immediately usable by name
-// everywhere (deploy::SolveNodeDeployment, cloudia::DeploymentSession,
+// everywhere (deploy::SolveNodeDeploymentByName, cloudia::DeploymentSession,
 // cloudia_cli --method=...).
 #ifndef CLOUDIA_DEPLOY_SOLVER_REGISTRY_H_
 #define CLOUDIA_DEPLOY_SOLVER_REGISTRY_H_

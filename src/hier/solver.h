@@ -15,8 +15,10 @@
 // Two entry points: SolveHierarchical consumes a CostSource, so
 // datacenter-scale synthetic problems never materialize an m x m matrix;
 // HierSolver adapts a measured CostMatrix and is registered as "hier" in
-// the global SolverRegistry (CLI --method=hier, SolveSpec, AdvisorService
-// "auto" routing above a node threshold).
+// the global SolverRegistry. Every flat caller reaches it through
+// deploy::SolveNodeDeploymentByName: the CLI's --method=hier, a session's
+// SolveSpec (which inherits the hier_* knobs from NdpSolveOptions), and
+// AdvisorService's "auto" routing above a node threshold.
 //
 // Determinism: with converging shard budgets the whole pipeline is a pure
 // function of (problem, options.seed) regardless of thread count -- every

@@ -327,8 +327,11 @@ std::string AdvisorService::Fingerprint(const DeploymentRequest& request) {
   fp += GraphFingerprint(request.app);
   const cloudia::SolveSpec& s = request.solve;
   char buf[320];
-  // ObjectiveSpecKey so requests differing only in objective weights never
-  // coalesce (the degenerate key equals the plain objective name).
+  // Every solver knob SolveSpec inherits from deploy::NdpSolveOptions, plus
+  // its method name; a knob added there must be added here too
+  // (EverySolveKnobIsInTheCoalescingFingerprint). ObjectiveSpecKey so
+  // requests differing only in objective weights never coalesce (the
+  // degenerate key equals the plain objective name).
   std::snprintf(buf, sizeof(buf),
                 "|m=%s|o=%s|t=%.17g|k=%d|r1=%d|th=%d|seed=%llu|ws=%d|pr=%d|"
                 "dl=%.17g|hc=%d|hs=%s|hp=%d",

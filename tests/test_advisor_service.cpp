@@ -414,6 +414,68 @@ TEST(AdvisorServiceTest, WeightOnlyDifferencesNeverCoalesceOrShareWarmStarts) {
   EXPECT_EQ(service.stats().warm_starts, 0u);
 }
 
+TEST(AdvisorServiceTest, EverySolveKnobIsInTheCoalescingFingerprint) {
+  // The job fingerprint lists SolveSpec's knobs by hand. A knob missing
+  // there would let two different solves coalesce onto one answer, so each
+  // request below differs from the base in exactly one knob. A tree, so
+  // that the longest-path variant is solvable too.
+  graph::CommGraph app = graph::AggregationTree(3, 3);  // 13 nodes
+  AdvisorService::Options options;
+  options.threads = 1;
+  options.start_paused = true;
+  options.measure_fn = FakeMeasure;
+  AdvisorService service(options);
+
+  using Tweak = void (*)(cloudia::SolveSpec&);
+  const std::vector<std::pair<const char*, Tweak>> knobs = {
+      {"method", [](cloudia::SolveSpec& s) { s.method = "g1"; }},
+      {"objective primary",
+       [](cloudia::SolveSpec& s) {
+         s.objective.primary = deploy::Objective::kLongestPath;
+       }},
+      {"price weight",
+       [](cloudia::SolveSpec& s) { s.objective.price_weight = 0.5; }},
+      {"time_budget_s", [](cloudia::SolveSpec& s) { s.time_budget_s = 0.25; }},
+      {"cost_clusters", [](cloudia::SolveSpec& s) { s.cost_clusters = 5; }},
+      {"r1_samples", [](cloudia::SolveSpec& s) { s.r1_samples = 500; }},
+      {"threads", [](cloudia::SolveSpec& s) { s.threads = 2; }},
+      {"seed", [](cloudia::SolveSpec& s) { s.seed = 4; }},
+      {"warm_start_hints",
+       [](cloudia::SolveSpec& s) { s.warm_start_hints = true; }},
+      {"hier_clusters", [](cloudia::SolveSpec& s) { s.hier_clusters = 3; }},
+      {"hier_shard_solver",
+       [](cloudia::SolveSpec& s) { s.hier_shard_solver = "g2"; }},
+      {"hier_polish_steps",
+       [](cloudia::SolveSpec& s) { s.hier_polish_steps = 100; }},
+      {"portfolio_members",
+       [](cloudia::SolveSpec& s) { s.portfolio_members = {"g2"}; }},
+      {"initial",
+       [](cloudia::SolveSpec& s) {
+         s.initial = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12};
+       }},
+  };
+
+  RequestHandle base = service.Submit(BasicRequest(&app));
+  RequestHandle twin = service.Submit(BasicRequest(&app));  // byte-identical
+  std::vector<RequestHandle> variants;
+  for (const auto& [name, tweak] : knobs) {
+    DeploymentRequest req = BasicRequest(&app);
+    tweak(req.solve);
+    variants.push_back(service.Submit(std::move(req)));
+  }
+  service.Resume();
+
+  EXPECT_FALSE(base.Wait().coalesced);
+  EXPECT_TRUE(twin.Wait().coalesced);
+  for (size_t i = 0; i < knobs.size(); ++i) {
+    const ServiceResult& r = variants[i].Wait();
+    EXPECT_TRUE(r.status.ok()) << knobs[i].first << ": "
+                               << r.status.ToString();
+    EXPECT_FALSE(r.coalesced) << knobs[i].first;
+  }
+  EXPECT_EQ(service.stats().coalesced, 1u);
+}
+
 TEST(AdvisorServiceTest, ProgressReportsStagesAndIncumbents) {
   graph::CommGraph app = graph::Mesh2D(3, 4);
   AdvisorService::Options options;
@@ -623,7 +685,11 @@ TEST(AdvisorServiceTest, HandlesAnswerAfterTheServiceIsDestroyed) {
     AdvisorService service(options);
     handles.push_back(service.Submit(BasicRequest(&app, "local")));
     handles.push_back(service.Submit(BasicRequest(&app, "local")));
-    handles.push_back(service.Submit(DeploymentRequest{}));
+    // A named request: GCC 12 reports a temporary DeploymentRequest{}
+    // (whose SolveSpec has a user-written constructor) as maybe
+    // uninitialized under -O2.
+    DeploymentRequest no_app;
+    handles.push_back(service.Submit(std::move(no_app)));
     RedeployPolicy policy;
     policy.checks = 2;
     service.EnableRedeployment(TinyEnv(), policy);

@@ -5,6 +5,8 @@
 #include <thread>
 
 #include "cloudia/session.h"
+#include "common/rng.h"
+#include "deploy_test_util.h"
 #include "graph/templates.h"
 
 namespace cloudia {
@@ -371,6 +373,137 @@ TEST(DeploymentSessionTest, SharedIncumbentCellCarriesSolutionsAcrossSolves) {
   ASSERT_TRUE(cell->Snapshot(&cell_cost, &cell_deployment));
   EXPECT_LE(cell_cost, solve->cost_ms + 1e-9);
   EXPECT_EQ(cell_deployment.size(), 20u);
+}
+
+// -- One solve path: DeploymentSession::Solve hands its SolveSpec to
+// deploy::SolveNodeDeploymentByName as the options, so the session and the
+// facade answer every spec identically.
+
+// A cloud-less session that adopted a seeded random matrix over `m` instances.
+struct AdoptedSession {
+  AdoptedSession(const graph::CommGraph* app, int m, uint64_t seed)
+      : costs([&] {
+          Rng rng(seed);
+          return deploy::RandomCosts(m, rng);
+        }()),
+        session(/*cloud=*/nullptr, app, FastOptions()) {
+    std::vector<net::Instance> pool(static_cast<size_t>(m));
+    for (int i = 0; i < m; ++i) pool[static_cast<size_t>(i)].id = i;
+    CLOUDIA_CHECK(session.AdoptMeasurement(std::move(pool), costs).ok());
+  }
+
+  deploy::CostMatrix costs;
+  DeploymentSession session;
+};
+
+// The facade call the session makes for `spec`: same name, same options,
+// a context with the spec's budget and thread cap.
+Result<deploy::NdpSolveResult> SolveThroughFacade(
+    const graph::CommGraph& app, const deploy::CostMatrix& costs,
+    const SolveSpec& spec) {
+  deploy::SolveContext context(Deadline::After(spec.time_budget_s));
+  context.set_max_threads(spec.threads);
+  return deploy::SolveNodeDeploymentByName(app, costs, spec.method, spec,
+                                           context);
+}
+
+TEST(SessionFacadeAgreementTest, FixedWorkSolversMatchTheFacade) {
+  graph::CommGraph app = graph::Mesh2D(4, 5);
+  AdoptedSession adopted(&app, 22, 17);
+  for (const char* method : {"g1", "g2", "r1"}) {
+    SolveSpec spec;
+    spec.method = method;
+    spec.seed = 9;
+    auto via_session = adopted.session.Solve(spec);
+    auto via_facade = SolveThroughFacade(app, adopted.costs, spec);
+    ASSERT_TRUE(via_session.ok()) << method << ": "
+                                  << via_session.status().ToString();
+    ASSERT_TRUE(via_facade.ok()) << method << ": "
+                                 << via_facade.status().ToString();
+    EXPECT_EQ(via_session->method, method);
+    EXPECT_EQ(via_session->result.deployment, via_facade->deployment)
+        << method;
+    EXPECT_EQ(via_session->cost_ms, via_facade->cost) << method;
+  }
+}
+
+TEST(SessionFacadeAgreementTest, ExactSolversMatchTheFacadeWhenTheyProve) {
+  graph::CommGraph app = graph::Mesh2D(2, 2);  // 4 nodes on 5 instances
+  AdoptedSession adopted(&app, 5, 23);
+  for (const char* method : {"cp", "mip"}) {
+    SolveSpec spec;
+    spec.method = method;
+    spec.time_budget_s = 60.0;
+    auto via_session = adopted.session.Solve(spec);
+    auto via_facade = SolveThroughFacade(app, adopted.costs, spec);
+    ASSERT_TRUE(via_session.ok()) << method << ": "
+                                  << via_session.status().ToString();
+    ASSERT_TRUE(via_facade.ok()) << method << ": "
+                                 << via_facade.status().ToString();
+    EXPECT_TRUE(via_session->result.proven_optimal) << method;
+    EXPECT_TRUE(via_facade->proven_optimal) << method;
+    EXPECT_EQ(via_session->result.deployment, via_facade->deployment)
+        << method;
+    EXPECT_EQ(via_session->cost_ms, via_facade->cost) << method;
+  }
+}
+
+TEST(SessionFacadeAgreementTest, SpecKnobsReachTheSolver) {
+  graph::CommGraph app = graph::Mesh2D(3, 4);
+  AdoptedSession adopted(&app, 14, 29);
+
+  SolveSpec r1;
+  r1.method = "r1";
+  r1.r1_samples = 37;
+  auto sampled = adopted.session.Solve(r1);
+  ASSERT_TRUE(sampled.ok()) << sampled.status().ToString();
+  EXPECT_EQ(sampled->result.iterations, 37);
+
+  // hier rejects itself as the shard solver; the session reports hier's own
+  // error, as the facade does.
+  SolveSpec hier;
+  hier.method = "hier";
+  hier.hier_shard_solver = "hier";
+  auto recursive = adopted.session.Solve(hier);
+  ASSERT_FALSE(recursive.ok());
+  EXPECT_EQ(recursive.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(recursive.status().message().find(
+                "hier cannot use itself as the shard solver"),
+            std::string::npos)
+      << recursive.status().ToString();
+  EXPECT_EQ(recursive.status().ToString(),
+            SolveThroughFacade(app, adopted.costs, hier).status().ToString());
+}
+
+TEST(SessionFacadeAgreementTest, CpRejectsLongestPathWithTheSameError) {
+  graph::CommGraph app = graph::AggregationTree(3, 2);  // 4 nodes, a DAG
+  AdoptedSession adopted(&app, 6, 31);
+  SolveSpec spec;
+  spec.method = "cp";
+  spec.objective = deploy::Objective::kLongestPath;
+  auto solve = adopted.session.Solve(spec);
+  ASSERT_FALSE(solve.ok());
+  EXPECT_EQ(solve.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(solve.status().message().find("not formulated for"),
+            std::string::npos)
+      << solve.status().ToString();
+  EXPECT_EQ(solve.status().ToString(),
+            SolveThroughFacade(app, adopted.costs, spec).status().ToString());
+  EXPECT_TRUE(adopted.session.solves().empty());
+}
+
+TEST(SessionFacadeAgreementTest, DefaultsArePinned) {
+  const SolveSpec spec;
+  EXPECT_EQ(spec.method, "cp");
+  EXPECT_EQ(spec.cost_clusters, 20);
+  const deploy::NdpSolveOptions options;
+  EXPECT_EQ(options.cost_clusters, 0);
+  // Every other knob keeps the solver layer's default.
+  EXPECT_EQ(spec.time_budget_s, options.time_budget_s);
+  EXPECT_EQ(spec.r1_samples, options.r1_samples);
+  EXPECT_EQ(spec.threads, options.threads);
+  EXPECT_EQ(spec.seed, options.seed);
+  EXPECT_EQ(spec.hier_polish_steps, options.hier_polish_steps);
 }
 
 }  // namespace
