@@ -1,7 +1,8 @@
 // Micro-benchmarks (google-benchmark) of the computational kernels under
 // ClouDiA: RNG, statistics, 1-D k-means, RTT sampling and the staged
 // measurement protocol, CP propagation, subgraph isomorphism, the LP
-// simplex, cost evaluation, and the DES event queue.
+// simplex, MIP branch-and-bound nodes, cost evaluation, and the DES event
+// queue.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
@@ -16,6 +17,7 @@
 #include "common/rng.h"
 #include "common/stats.h"
 #include "deploy/cost.h"
+#include "deploy/mip_lpndp.h"
 #include "graph/templates.h"
 #include "measure/event_queue.h"
 #include "measure/protocols.h"
@@ -192,6 +194,42 @@ void BM_SimplexAssignment(benchmark::State& state) {
 }
 BENCHMARK(BM_SimplexAssignment)->Arg(10)->Arg(20);
 
+// Random link costs in [0.2, 1.4] ms, each direction within 0.02 of a
+// shared base (the tests' RandomCosts).
+deploy::CostMatrix RandomCosts(int m, Rng& rng) {
+  deploy::CostMatrix c(m);
+  for (int i = 0; i < m; ++i) {
+    for (int j = i + 1; j < m; ++j) {
+      const double base = rng.Uniform(0.2, 1.4);
+      c.At(i, j) = base + rng.Uniform(-0.02, 0.02);
+      c.At(j, i) = base + rng.Uniform(-0.02, 0.02);
+    }
+  }
+  return c;
+}
+
+// LPNDP branch and bound on a 13-node aggregation tree over 33 instances,
+// capped at a fixed node count and reported per node (the "samples"
+// counter): root lazy rounds, dual re-solves after each bound change and
+// the cut pool together, the work of the mip class of requests.
+void BM_MipNodes(benchmark::State& state) {
+  Rng rng(21);
+  const graph::CommGraph tree = graph::AggregationTree(3, 3);
+  const deploy::CostMatrix costs = RandomCosts(33, rng);
+  deploy::MipNdpOptions options;
+  options.seed = 4;
+  options.max_nodes = state.range(0);
+  int64_t nodes = 0;
+  for (auto _ : state) {
+    auto r = deploy::SolveLpndpMip(tree, costs, options);
+    CLOUDIA_CHECK(r.ok());
+    nodes = r->iterations;
+    benchmark::DoNotOptimize(r->cost);
+  }
+  state.counters["samples"] = static_cast<double>(nodes);
+}
+BENCHMARK(BM_MipNodes)->Arg(200);
+
 void BM_CostEvaluatorLongestLink(benchmark::State& state) {
   Rng rng(8);
   graph::CommGraph mesh = graph::Mesh2D(10, 10);
@@ -323,7 +361,8 @@ BENCHMARK(BM_EventQueueChain);
 // Console reporting plus capture of (name, ns/iter) for the unified
 // metrics JSON (see bench_util.h) -- the same schema every other bench
 // binary emits, so tools/bench_snapshot.cpp needs no per-bench parsing.
-// A benchmark that sets a "samples" counter is captured in ns per sample.
+// A benchmark that sets a "samples" counter is captured in ns per sample
+// (per branch-and-bound node for BM_MipNodes).
 class CollectingReporter : public benchmark::ConsoleReporter {
  public:
   void ReportRuns(const std::vector<Run>& reports) override {
@@ -352,10 +391,10 @@ class CollectingReporter : public benchmark::ConsoleReporter {
 // Custom main instead of BENCHMARK_MAIN(): --json=PATH (or --json PATH) is
 // the repo-wide machine-readable-output flag. Most per-kernel times are
 // informational (gate ""); the Full/Delta ratios of the cost-eval kernels
-// are gated "speedup" metrics, and the staged measurements' ns per sample,
-// with and without reservoirs, are gated "lower" on absolute time
-// (bench_snapshot takes their min over interleaved reps, which discards
-// the load noise).
+// are gated "speedup" metrics, and the staged measurements' ns per sample
+// (with and without reservoirs), the MIP's ns per node and the 20x20
+// assignment LP are gated "lower" on absolute time (bench_snapshot takes
+// their min over interleaved reps, which discards the load noise).
 int main(int argc, char** argv) {
   std::vector<std::string> args;
   args.reserve(static_cast<size_t>(argc));
@@ -384,7 +423,9 @@ int main(int argc, char** argv) {
 
   std::vector<cloudia::bench::Metric> metrics;
   for (const auto& [name, ns] : reporter.runs()) {
-    const bool gated = name.rfind("BM_MeasureStaged", 0) == 0;
+    const bool gated = name.rfind("BM_MeasureStaged", 0) == 0 ||
+                       name.rfind("BM_MipNodes", 0) == 0 ||
+                       name == "BM_SimplexAssignment/20";
     metrics.push_back(
         {"micro." + name + ".ns", ns, "ns", gated ? "lower" : ""});
   }

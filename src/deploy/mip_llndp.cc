@@ -107,6 +107,7 @@ Result<NdpSolveResult> SolveLlndpMip(const graph::CommGraph& graph,
   mip::MipOptions mip_options;
   mip_options.deadline = context.deadline();
   mip_options.cancel = context.cancel_token();
+  mip_options.max_nodes = options.max_nodes;
   // Separation of c >= CL(j,j')(x_ij + x_i'j' - 1): rewritten as
   //   c - CL * x_ij - CL * x_i'j'  >=  -CL.
   mip_options.lazy = [&graph, &clustered, &options, n, m, c_var](
@@ -175,6 +176,7 @@ Result<NdpSolveResult> SolveLlndpMip(const graph::CommGraph& graph,
   };
 
   mip::MipResult mip_result = mip::SolveMip(model, mip_options);
+  TraceMipSummary(context, mip_result);
   result.proven_optimal = (mip_result.status == mip::MipStatus::kOptimal);
   result.iterations = mip_result.nodes;
   return result;
@@ -185,6 +187,23 @@ Result<NdpSolveResult> SolveLlndpMip(const graph::CommGraph& graph,
                                      const MipNdpOptions& options) {
   SolveContext context(options.deadline);
   return SolveLlndpMip(graph, costs, options, context);
+}
+
+void TraceMipSummary(const SolveContext& context,
+                     const mip::MipResult& mip_result) {
+  obs::Tracer* tracer = context.tracer();
+  if (tracer == nullptr) return;
+  std::vector<obs::TraceArg> args = {
+      obs::Arg("solver", context.solver_label()),
+      obs::Arg("nodes", static_cast<double>(mip_result.nodes)),
+      obs::Arg("lp_pivots", static_cast<double>(mip_result.lp_iterations)),
+      obs::Arg("lazy_rows", static_cast<double>(mip_result.lazy_rows_added)),
+      obs::Arg("max_lp_rows", static_cast<double>(mip_result.max_lp_rows))};
+  if (std::isfinite(mip_result.best_bound)) {
+    args.push_back(obs::Arg("best_bound", mip_result.best_bound));
+  }
+  tracer->Instant("mip.summary", "solve", context.obs_parent(),
+                  std::move(args));
 }
 
 }  // namespace cloudia::deploy

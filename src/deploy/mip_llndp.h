@@ -20,6 +20,10 @@
 #include "deploy/solver.h"
 #include "deploy/solver_result.h"
 
+namespace cloudia::mip {
+struct MipResult;
+}  // namespace cloudia::mip
+
 namespace cloudia::deploy {
 
 struct MipNdpOptions {
@@ -33,6 +37,9 @@ struct MipNdpOptions {
   uint64_t seed = 1;
   /// Violated coupling rows added per separation round (keeps LPs small).
   int max_lazy_rows_per_round = 64;
+  /// Branch-and-bound node cap, -1 for none: fixes the work of a test or
+  /// bench run regardless of the wall clock.
+  int64_t max_nodes = -1;
 };
 
 /// Solves LLNDP via branch & bound on the encoding above, under `context`
@@ -46,6 +53,12 @@ Result<NdpSolveResult> SolveLlndpMip(const graph::CommGraph& graph,
 Result<NdpSolveResult> SolveLlndpMip(const graph::CommGraph& graph,
                                      const CostMatrix& costs,
                                      const MipNdpOptions& options);
+
+/// With a tracer on `context`, emits one "mip.summary" instant under its
+/// parent span: nodes, LP pivots, lazy rows, the LP's largest row count and
+/// the final bound (when finite). Shared by the LLNDP and LPNDP encodings.
+void TraceMipSummary(const SolveContext& context,
+                     const mip::MipResult& mip_result);
 
 }  // namespace cloudia::deploy
 

@@ -93,6 +93,7 @@ Result<NdpSolveResult> SolveLpndpMip(const graph::CommGraph& graph,
   mip::MipOptions mip_options;
   mip_options.deadline = context.deadline();
   mip_options.cancel = context.cancel_token();
+  mip_options.max_nodes = options.max_nodes;
   // Separation of c_e >= CL(j,j')(x_ij + x_i'j' - 1) per edge e = (i, i').
   mip_options.lazy = [&graph, &clustered, &options, n, m, c_base](
                          const std::vector<double>& x,
@@ -195,6 +196,7 @@ Result<NdpSolveResult> SolveLpndpMip(const graph::CommGraph& graph,
   };
 
   mip::MipResult mip_result = mip::SolveMip(model, mip_options);
+  TraceMipSummary(context, mip_result);
   result.proven_optimal = (mip_result.status == mip::MipStatus::kOptimal);
   result.iterations = mip_result.nodes;
   return result;

@@ -1,11 +1,20 @@
-// LP-based branch & bound for MipModel:
+// LP-based branch & bound for MipModel on one warm-started bounded dual
+// simplex (solver/lp/simplex.h) that lives for the whole solve:
 //   - depth-first diving (finds incumbents early, bounded memory),
-//   - most-fractional branching, round-to-nearest child first,
-//   - lazy-constraint callback, called on every LP optimum; returned violated
-//     rows join a global cut pool shared by all nodes. This is how the
+//   - most-fractional branching, round-to-nearest child first; a branch is
+//     a column-bound change, and backtracking resets the bounds of the
+//     popped node and re-optimizes from the current basis,
+//   - the model's single-column rows (the binaries' x <= 1) become column
+//     bounds, not LP rows,
+//   - lazy-constraint callback, called on LP optima once no pooled cut is
+//     violated; returned rows join a global cut pool shared by all nodes and
+//     enter the LP by bordering the basis inverse. This is how the
 //     O(|E| * |S|^2) coupling constraints of the paper's LLNDP/LPNDP
 //     encodings (Sect. 4.1/4.4) stay tractable: rows are generated only when
 //     violated, exactly as a commercial solver would treat lazy constraints.
+//     The LP keeps only the cuts that bind (see the cut-pool comment in
+//     branch_and_bound.cc), so its inverse stays small however long the
+//     solve runs.
 //   - optional warm-start incumbent (the paper bootstraps its solvers with
 //     the best of 10 random deployments, Sect. 6.3).
 #ifndef CLOUDIA_SOLVER_MIP_BRANCH_AND_BOUND_H_
@@ -22,8 +31,9 @@
 namespace cloudia::mip {
 
 /// Returns violated rows for the given LP-optimal point (empty if none).
-/// Invoked at every node LP optimum; `is_integral` tells whether all integer
-/// variables are integral there (i.e. a candidate incumbent).
+/// Invoked at node LP optima that violate no pooled cut; `is_integral` tells
+/// whether all integer variables are integral there (i.e. a candidate
+/// incumbent).
 using LazyConstraintCallback = std::function<std::vector<lp::Row>(
     const std::vector<double>& x, bool is_integral)>;
 
@@ -71,6 +81,9 @@ struct MipResult {
   int64_t nodes = 0;
   int64_t lp_iterations = 0;
   int lazy_rows_added = 0;
+  /// Most rows the LP held at once (model rows that are not column bounds,
+  /// plus cuts).
+  int max_lp_rows = 0;
   std::vector<IncumbentPoint> incumbent_trace;
 };
 

@@ -5,6 +5,7 @@
 #include "deploy/random_search.h"
 #include "deploy_test_util.h"
 #include "graph/templates.h"
+#include "obs/trace.h"
 
 namespace cloudia::deploy {
 namespace {
@@ -103,6 +104,79 @@ TEST(MipNdpTest, TraceImprovesMonotonically) {
     EXPECT_LT(r->trace[i].cost, r->trace[i - 1].cost);
   }
   EXPECT_DOUBLE_EQ(r->trace.back().cost, r->cost);
+}
+
+// Six-node instances on seven instances: big enough that the LP work per
+// node shows, small enough for the brute-force oracle.
+TEST(MipLlndpTest, SixNodeMeshProvenOptimalVsBruteForce) {
+  Rng master(53);
+  graph::CommGraph mesh = graph::Mesh2D(2, 3);
+  for (int trial = 0; trial < 3; ++trial) {
+    CostMatrix costs = RandomCosts(7, master);
+    MipNdpOptions opts;
+    opts.seed = master.Next();
+    auto r = SolveLlndpMip(mesh, costs, opts);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_TRUE(r->proven_optimal) << "trial " << trial;
+    EXPECT_NEAR(r->cost,
+                BruteForceOptimum(mesh, costs, Objective::kLongestLink), 1e-6)
+        << "trial " << trial;
+  }
+}
+
+TEST(MipLpndpTest, SixNodeDagProvenOptimalVsBruteForce) {
+  Rng master(59);
+  for (int trial = 0; trial < 3; ++trial) {
+    graph::CommGraph dag = graph::RandomDag(6, 0.4, master);
+    CostMatrix costs = RandomCosts(7, master);
+    MipNdpOptions opts;
+    opts.seed = master.Next();
+    auto r = SolveLpndpMip(dag, costs, opts);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_TRUE(r->proven_optimal) << "trial " << trial;
+    EXPECT_NEAR(r->cost,
+                BruteForceOptimum(dag, costs, Objective::kLongestPath), 1e-6)
+        << "trial " << trial;
+  }
+}
+
+// The cut-pool bound documented in solver/mip/branch_and_bound.cc: the LP
+// holds at most its model rows plus one cut per column, plus one round's
+// batch, however many cuts the pool collects.
+TEST(MipNdpTest, LpRowsStayBoundedWhileCutsAccumulate) {
+  Rng master(41);
+  graph::CommGraph mesh = graph::Mesh2D(4, 4);
+  const int n = mesh.num_nodes();
+  const int m = 20;
+  CostMatrix costs = RandomCosts(m, master);
+  MipNdpOptions opts;
+  opts.seed = 43;
+  opts.max_nodes = 200;
+  obs::Tracer tracer;
+  SolveContext context;
+  context.set_obs(&tracer, 0, "mip");
+  auto r = SolveLlndpMip(mesh, costs, opts, context);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+
+  const obs::TraceEvent* summary = nullptr;
+  std::vector<obs::TraceEvent> events = tracer.Snapshot();
+  for (const obs::TraceEvent& e : events) {
+    if (e.name == "mip.summary") summary = &e;
+  }
+  ASSERT_NE(summary, nullptr);
+  auto arg = [&](const std::string& key) {
+    for (const obs::TraceArg& a : summary->args) {
+      if (a.key == key) return a.number;
+    }
+    ADD_FAILURE() << "no " << key;
+    return 0.0;
+  };
+  // Assignment rows (n + m) plus one cut per column (n * m x's and c) plus
+  // one batch of lazy rows.
+  const double bound = (n + m) + (n * m + 1) + opts.max_lazy_rows_per_round;
+  EXPECT_EQ(arg("nodes"), 200.0);
+  EXPECT_LT(arg("max_lp_rows"), bound);
+  EXPECT_GT(arg("lazy_rows"), bound);
 }
 
 TEST(MipNdpTest, ZeroDeadlineReturnsBootstrap) {

@@ -199,6 +199,54 @@ TEST(ObsIntegrationTest, TracingDoesNotPerturbSolverResults) {
   EXPECT_GT(tracer.event_count(), 0u);
 }
 
+// A traced MIP solve emits one mip.summary instant that explains the proof
+// (nodes, LP pivots, lazy rows, LP size, bound), and is bit-identical to the
+// same solve untraced.
+TEST(ObsIntegrationTest, TracedMipSolveIsBitIdenticalAndSummarized) {
+  graph::CommGraph app = graph::Mesh2D(2, 3);
+  Rng rng(19);
+  CostMatrix costs = RandomCosts(8, rng);
+
+  NdpSolveOptions options;
+  options.objective = deploy::Objective::kLongestLink;
+  options.seed = 23;
+
+  SolveContext plain_context(Deadline::After(60.0));
+  auto plain = deploy::SolveNodeDeploymentByName(app, costs, "mip", options,
+                                                 plain_context);
+  ASSERT_TRUE(plain.ok());
+
+  obs::Tracer tracer;
+  SolveContext traced_context(Deadline::After(60.0));
+  traced_context.set_obs(&tracer, 0, "mip");
+  auto traced = deploy::SolveNodeDeploymentByName(app, costs, "mip", options,
+                                                  traced_context);
+  ASSERT_TRUE(traced.ok());
+
+  ASSERT_TRUE(plain->proven_optimal);
+  EXPECT_EQ(traced->proven_optimal, plain->proven_optimal);
+  EXPECT_EQ(plain->cost, traced->cost);  // bitwise, not NEAR
+  EXPECT_EQ(plain->deployment, traced->deployment);
+  EXPECT_EQ(plain->iterations, traced->iterations);
+
+  int summaries = 0;
+  for (const obs::TraceEvent& e : tracer.Snapshot()) {
+    if (e.name != "mip.summary") continue;
+    ++summaries;
+    EXPECT_EQ(e.kind, obs::TraceEvent::Kind::kInstant);
+    EXPECT_EQ(ArgText(e, "solver"), "mip");
+    EXPECT_EQ(ArgNumber(e, "nodes"),
+              static_cast<double>(traced->iterations));
+    EXPECT_GT(ArgNumber(e, "lp_pivots"), 0.0);
+    EXPECT_GT(ArgNumber(e, "lazy_rows"), 0.0);
+    EXPECT_GT(ArgNumber(e, "max_lp_rows"), 0.0);
+    // A finished proof's bound is the optimum of the clustered model, which
+    // without clustering is the reported cost.
+    EXPECT_NEAR(ArgNumber(e, "best_bound"), traced->cost, 1e-9);
+  }
+  EXPECT_EQ(summaries, 1);
+}
+
 // The redeploy event-queue loop with an injected VirtualClock must produce
 // byte-identical Chrome trace JSON across runs: timestamps are virtual,
 // span ids are a counter, lanes are logical.

@@ -42,7 +42,11 @@ constexpr GoldenCase kGolden[] = {
     {"bip2x4-ll", "g2", 1.2673762788870306},
     {"bip2x4-ll", "r1", 1.1232986803465945},
     {"bip2x4-ll", "cp", 1.1540856223671832},
-    {"bip2x4-ll", "mip", 1.1770176051835348},
+    // The MIP proves the clustered optimum (1.097), which 3408 deployments
+    // share; the cost here is the actual cost of the one its search meets
+    // first. Re-recorded when the LP became a warm-started dual simplex
+    // (it was 1.1770176051835348 under the dense primal tableau).
+    {"bip2x4-ll", "mip", 1.1696751548310433},
     {"bip2x4-ll", "local", 1.1232986803465945},
 };
 
