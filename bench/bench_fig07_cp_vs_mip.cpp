@@ -9,7 +9,7 @@
 #include "bench_util.h"
 #include "common/table.h"
 #include "deploy/cp_llndp.h"
-#include "deploy/mip_llndp.h"
+#include "deploy/mip_ndp.h"
 #include "deploy/solve.h"
 #include "graph/templates.h"
 

@@ -4,7 +4,7 @@
 
 #include "bench_util.h"
 #include "common/table.h"
-#include "deploy/mip_lpndp.h"
+#include "deploy/mip_ndp.h"
 #include "graph/templates.h"
 
 int main() {

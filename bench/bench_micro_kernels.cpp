@@ -17,7 +17,7 @@
 #include "common/rng.h"
 #include "common/stats.h"
 #include "deploy/cost.h"
-#include "deploy/mip_lpndp.h"
+#include "deploy/mip_ndp.h"
 #include "graph/templates.h"
 #include "measure/event_queue.h"
 #include "measure/protocols.h"
@@ -294,56 +294,116 @@ struct SwapEvalFixture {
   double cost = 0.0;
 };
 
-void BM_SwapEvalLongestLinkFull(benchmark::State& state) {
+// One probe of each kernel: price the swap (a, b), or the move of node a
+// to the unused instance `target`, by a full re-evaluation of the mutated
+// deployment or through the evaluator's incremental API.
+double SwapFull(SwapEvalFixture& fx, int a, int b) {
+  std::swap(fx.d[static_cast<size_t>(a)], fx.d[static_cast<size_t>(b)]);
+  double c = fx.eval->Cost(fx.d);
+  std::swap(fx.d[static_cast<size_t>(a)], fx.d[static_cast<size_t>(b)]);
+  return c;
+}
+double SwapDelta(SwapEvalFixture& fx, int a, int b) {
+  return fx.eval->SwapCost(fx.d, fx.cost, a, b);
+}
+double MoveFull(SwapEvalFixture& fx, int a, int target) {
+  int old = fx.d[static_cast<size_t>(a)];
+  fx.d[static_cast<size_t>(a)] = target;
+  double c = fx.eval->Cost(fx.d);
+  fx.d[static_cast<size_t>(a)] = old;
+  return c;
+}
+double MoveDelta(SwapEvalFixture& fx, int a, int target) {
+  return fx.eval->MoveCost(fx.d, fx.cost, a, target);
+}
+
+// `probes` consecutive probes of one kernel, continuing the probe sequence
+// at (*a, *b) for swaps or at *a for moves.
+template <double (*Probe)(SwapEvalFixture&, int, int)>
+void SwapProbes(SwapEvalFixture& fx, int64_t probes, int* a, int* b) {
+  for (int64_t k = 0; k < probes; ++k) {
+    benchmark::DoNotOptimize(Probe(fx, *a, *b));
+    fx.Advance(a, b);
+  }
+}
+template <double (*Probe)(SwapEvalFixture&, int, int)>
+void MoveProbes(SwapEvalFixture& fx, int64_t probes, int target, int* a) {
+  const int n = fx.mesh.num_nodes();
+  for (int64_t k = 0; k < probes; ++k) {
+    benchmark::DoNotOptimize(Probe(fx, *a, target));
+    *a = (*a + 7) % n;
+  }
+}
+
+template <double (*Probe)(SwapEvalFixture&, int, int)>
+void BM_SwapEval(benchmark::State& state) {
   SwapEvalFixture fx(static_cast<int>(state.range(0)));
   int a = 0, b = 1;
-  for (auto _ : state) {
-    std::swap(fx.d[static_cast<size_t>(a)], fx.d[static_cast<size_t>(b)]);
-    double c = fx.eval->Cost(fx.d);
-    std::swap(fx.d[static_cast<size_t>(a)], fx.d[static_cast<size_t>(b)]);
-    benchmark::DoNotOptimize(c);
-    fx.Advance(&a, &b);
-  }
+  for (auto _ : state) SwapProbes<Probe>(fx, 1, &a, &b);
+}
+template <double (*Probe)(SwapEvalFixture&, int, int)>
+void BM_MoveEval(benchmark::State& state) {
+  SwapEvalFixture fx(static_cast<int>(state.range(0)));
+  const int target = fx.FirstUnusedInstance();
+  int a = 0;
+  for (auto _ : state) MoveProbes<Probe>(fx, 1, target, &a);
+}
+void BM_SwapEvalLongestLinkFull(benchmark::State& state) {
+  BM_SwapEval<SwapFull>(state);
 }
 BENCHMARK(BM_SwapEvalLongestLinkFull)->Arg(15)->Arg(24);
-
 void BM_SwapEvalLongestLinkDelta(benchmark::State& state) {
-  SwapEvalFixture fx(static_cast<int>(state.range(0)));
-  int a = 0, b = 1;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(fx.eval->SwapCost(fx.d, fx.cost, a, b));
-    fx.Advance(&a, &b);
-  }
+  BM_SwapEval<SwapDelta>(state);
 }
 BENCHMARK(BM_SwapEvalLongestLinkDelta)->Arg(15)->Arg(24);
-
 void BM_MoveEvalLongestLinkFull(benchmark::State& state) {
-  SwapEvalFixture fx(static_cast<int>(state.range(0)));
-  const int n = fx.mesh.num_nodes();
-  const int target = fx.FirstUnusedInstance();
-  int a = 0;
-  for (auto _ : state) {
-    int old = fx.d[static_cast<size_t>(a)];
-    fx.d[static_cast<size_t>(a)] = target;
-    double c = fx.eval->Cost(fx.d);
-    fx.d[static_cast<size_t>(a)] = old;
-    benchmark::DoNotOptimize(c);
-    a = (a + 7) % n;
-  }
+  BM_MoveEval<MoveFull>(state);
 }
 BENCHMARK(BM_MoveEvalLongestLinkFull)->Arg(15)->Arg(24);
-
 void BM_MoveEvalLongestLinkDelta(benchmark::State& state) {
-  SwapEvalFixture fx(static_cast<int>(state.range(0)));
-  const int n = fx.mesh.num_nodes();
-  const int target = fx.FirstUnusedInstance();
-  int a = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(fx.eval->MoveCost(fx.d, fx.cost, a, target));
-    a = (a + 7) % n;
-  }
+  BM_MoveEval<MoveDelta>(state);
 }
 BENCHMARK(BM_MoveEvalLongestLinkDelta)->Arg(15)->Arg(24);
+
+// Full/Delta speedups of the evaluator kernels, timed apart from the
+// benchmarks above with bench::AlternatingMinSeconds: blocks of the same
+// probes alternate on the thread's CPU clock, so a slow phase of the
+// machine cannot fall on one side of a pair only.
+std::vector<cloudia::bench::Metric> EvalSpeedups() {
+  constexpr int64_t kProbes = 512;
+  constexpr long long kBlocks = 100;
+  std::vector<cloudia::bench::Metric> speedups;
+  for (int side : {15, 24}) {
+    SwapEvalFixture fx(side);
+    const int target = fx.FirstUnusedInstance();
+    auto swaps = [&](auto probes) {
+      return [&fx, probes] {
+        int a = 0, b = 1;
+        probes(fx, kProbes, &a, &b);
+      };
+    };
+    auto moves = [&](auto probes) {
+      return [&fx, probes, target] {
+        int a = 0;
+        probes(fx, kProbes, target, &a);
+      };
+    };
+    const cloudia::bench::MinBlockSeconds swap =
+        cloudia::bench::AlternatingMinSeconds(
+            swaps(SwapProbes<SwapFull>), swaps(SwapProbes<SwapDelta>),
+            kBlocks);
+    const cloudia::bench::MinBlockSeconds move =
+        cloudia::bench::AlternatingMinSeconds(
+            moves(MoveProbes<MoveFull>), moves(MoveProbes<MoveDelta>),
+            kBlocks);
+    const std::string arg = std::to_string(side);
+    speedups.push_back({"micro.BM_SwapEvalLongestLink/" + arg + ".speedup",
+                        swap.a_s / swap.b_s, "x", "higher"});
+    speedups.push_back({"micro.BM_MoveEvalLongestLink/" + arg + ".speedup",
+                        move.a_s / move.b_s, "x", "higher"});
+  }
+  return speedups;
+}
 
 void BM_EventQueueChain(benchmark::State& state) {
   for (auto _ : state) {
@@ -391,10 +451,11 @@ class CollectingReporter : public benchmark::ConsoleReporter {
 // Custom main instead of BENCHMARK_MAIN(): --json=PATH (or --json PATH) is
 // the repo-wide machine-readable-output flag. Most per-kernel times are
 // informational (gate ""); the Full/Delta ratios of the cost-eval kernels
-// are gated "speedup" metrics, and the staged measurements' ns per sample
-// (with and without reservoirs), the MIP's ns per node and the 20x20
-// assignment LP are gated "lower" on absolute time (bench_snapshot takes
-// their min over interleaved reps, which discards the load noise).
+// are gated "speedup" metrics (EvalSpeedups), and the staged measurements'
+// ns per sample (with and without reservoirs), the MIP's ns per node and
+// the 20x20 assignment LP are gated "lower" on absolute time
+// (bench_snapshot takes their min over interleaved reps, which discards
+// the load noise).
 int main(int argc, char** argv) {
   std::vector<std::string> args;
   args.reserve(static_cast<size_t>(argc));
@@ -429,21 +490,7 @@ int main(int argc, char** argv) {
     metrics.push_back(
         {"micro." + name + ".ns", ns, "ns", gated ? "lower" : ""});
   }
-  // Derived Full/Delta speedups for every kernel pair that ran.
-  for (const auto& [name, full_ns] : reporter.runs()) {
-    const size_t pos = name.find("Full/");
-    if (pos == std::string::npos) continue;
-    std::string delta_name = name;
-    delta_name.replace(pos, 5, "Delta/");
-    for (const auto& [other, delta_ns] : reporter.runs()) {
-      if (other == delta_name && delta_ns > 0) {
-        std::string base = name;
-        base.erase(pos, 4);  // drop "Full"
-        metrics.push_back(
-            {"micro." + base + ".speedup", full_ns / delta_ns, "x", "higher"});
-      }
-    }
-  }
+  for (cloudia::bench::Metric& m : EvalSpeedups()) metrics.push_back(m);
   return cloudia::bench::WriteMetricsJson(json_path, "bench_micro_kernels",
                                           metrics)
              ? 0

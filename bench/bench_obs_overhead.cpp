@@ -6,7 +6,9 @@
 //   * obs.disabled_ratio ("lower", baseline 1.0): a hot swap-delta loop
 //     with detached obs handles (one null check per iteration -- exactly
 //     what instrumented solver code pays when no registry/tracer is
-//     attached) vs the same loop bare. PASS requires < 1% overhead.
+//     attached) vs the same loop bare, timed by bench::AlternatingMinSeconds
+//     (short alternating blocks on the thread's CPU clock, ratio of the two
+//     minimum block times). PASS requires < 1% overhead.
 //   * obs.bit_identical ("near", 1.0): a single-threaded local-search solve
 //     with a tracer + registry attached returns the same cost, deployment,
 //     and iteration count as the same solve with observability off.
@@ -14,8 +16,9 @@
 //     one attached Counter::Add and one full Begin/End span round trip.
 //
 // Flags: --nodes=N (default 20), --instances=M (default 40),
-// --iters=N (hot-loop iterations, default 2000000), --reps=R (min-of-R
-// timing, default 5), --seed=N (default 7), --json=PATH.
+// --iters=N (hot-loop iterations per rep and variant, default 2000000),
+// --reps=R (reps; min-of-R timing of the enabled path, default 5),
+// --seed=N (default 7), --json=PATH.
 #include <algorithm>
 #include <cstdio>
 #include <string>
@@ -99,10 +102,13 @@ int main(int argc, char** argv) {
   // and (in the instrumented variant) tick a detached counter + check a null
   // tracer -- the exact disabled-path cost of the call sites added in
   // src/deploy, src/hier, and src/service.
+  // Every block runs the same kBlockIters probes, so the blocks of both
+  // variants do equal work and their minimums compare directly.
+  constexpr long long kBlockIters = 10000;
   volatile double sink = 0.0;
   auto bare = [&] {
     double acc = 0.0;
-    for (long long i = 0; i < iters; ++i) {
+    for (long long i = 0; i < kBlockIters; ++i) {
       const int a = static_cast<int>(i % n);
       const int b = static_cast<int>((i * 7 + 1) % n);
       acc += eval->SwapDelta(d, base_cost, a, b);
@@ -113,7 +119,7 @@ int main(int argc, char** argv) {
   obs::Tracer* null_tracer = nullptr;
   auto instrumented = [&] {
     double acc = 0.0;
-    for (long long i = 0; i < iters; ++i) {
+    for (long long i = 0; i < kBlockIters; ++i) {
       const int a = static_cast<int>(i % n);
       const int b = static_cast<int>((i * 7 + 1) % n);
       acc += eval->SwapDelta(d, base_cost, a, b);
@@ -124,21 +130,19 @@ int main(int argc, char** argv) {
     }
     sink = acc;
   };
-  bare();          // warm caches before timing either variant
-  instrumented();
-  // Interleave reps so CPU-frequency drift hits both variants equally;
-  // min-of-reps then discards the slow outliers on each side.
-  double bare_s = 1e100;
-  double instrumented_s = 1e100;
-  for (int r = 0; r < reps; ++r) {
-    bare_s = std::min(bare_s, MinSeconds(1, bare));
-    instrumented_s = std::min(instrumented_s, MinSeconds(1, instrumented));
-  }
+  const long long blocks =
+      std::max(1LL, static_cast<long long>(reps) * iters / kBlockIters);
+  const bench::MinBlockSeconds best =
+      bench::AlternatingMinSeconds(bare, instrumented, blocks);
+  const double bare_s = best.a_s;
+  const double instrumented_s = best.b_s;
   const double disabled_ratio = instrumented_s / bare_s;
-  std::printf("hot loop: %lld swap-delta evaluations, min of %d reps\n", iters, reps);
-  std::printf("  bare          : %8.3f ms\n", bare_s * 1e3);
-  std::printf("  disabled obs  : %8.3f ms  (ratio %.4f)\n",
-              instrumented_s * 1e3, disabled_ratio);
+  std::printf("hot loop: %lld blocks of %lld swap-delta evaluations per "
+              "variant, min block on the thread CPU clock\n",
+              blocks, kBlockIters);
+  std::printf("  bare          : %8.3f us\n", bare_s * 1e6);
+  std::printf("  disabled obs  : %8.3f us  (ratio %.4f)\n",
+              instrumented_s * 1e6, disabled_ratio);
 
   // -- Enabled-path cost (informational) -------------------------------------
   obs::MetricsRegistry registry;

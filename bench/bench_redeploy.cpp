@@ -31,8 +31,7 @@
 #include "common/timer.h"
 #include "deploy/solve.h"
 #include "graph/templates.h"
-#include "measure/probe_engine.h"
-#include "measure/protocols.h"
+#include "measure/recipe.h"
 #include "netsim/cloud.h"
 #include "netsim/dynamics.h"
 #include "netsim/provider.h"
@@ -88,16 +87,10 @@ Scenario BuildScenario(int instances, double duration_s, uint64_t seed,
   CLOUDIA_CHECK(pool.ok());
   s.pool = std::move(pool).value();
 
-  measure::ProtocolOptions popts;
-  popts.seed = measure::MeasurementProtocolSeed(seed);
-  popts.duration_s = duration_s;
-  auto measured =
-      measure::RunProtocol(s.cloud, s.pool, measure::Protocol::kStaged, popts);
+  auto measured = measure::MeasureCostMatrix(
+      s.cloud, s.pool, {.duration_s = duration_s, .seed = seed});
   CLOUDIA_CHECK(measured.ok());
-  auto baseline =
-      measure::BuildCostMatrix(*measured, measure::CostMetric::kMean);
-  CLOUDIA_CHECK(baseline.ok());
-  s.baseline = std::move(baseline).value();
+  s.baseline = std::move(measured->costs);
 
   deploy::NdpSolveOptions sopts;
   sopts.seed = seed;
@@ -113,7 +106,7 @@ Scenario BuildScenario(int instances, double duration_s, uint64_t seed,
   // The drift scenario: frequent multi-hour congestion episodes plus
   // occasional provider-side relocation, anchored after the baseline
   // measurement so the cached matrix is honest at t = start.
-  s.drift.start_hours = measured->virtual_time_ms / 3.6e6;
+  s.drift.start_hours = measured->virtual_s / 3600.0;
   s.drift.epoch_minutes = 30.0;
   s.drift.episode_rate = 0.35;
   s.drift.severity_lo = 2.0;

@@ -1,5 +1,7 @@
 #include "bench_util.h"
 
+#include <time.h>
+
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -118,6 +120,34 @@ std::vector<double> OffDiagonal(const deploy::CostMatrix& m) {
     }
   }
   return out;
+}
+
+namespace {
+
+// CPU time the calling thread spends in `body()`; time the thread is
+// descheduled does not count.
+double ThreadCpuSeconds(const std::function<void()>& body) {
+  timespec start{}, end{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &start);
+  body();
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &end);
+  return static_cast<double>(end.tv_sec - start.tv_sec) +
+         static_cast<double>(end.tv_nsec - start.tv_nsec) * 1e-9;
+}
+
+}  // namespace
+
+MinBlockSeconds AlternatingMinSeconds(const std::function<void()>& a,
+                                      const std::function<void()>& b,
+                                      long long blocks) {
+  a();  // warm caches before timing either side
+  b();
+  MinBlockSeconds best{1e100, 1e100};
+  for (long long k = 0; k < blocks; ++k) {
+    best.a_s = std::min(best.a_s, ThreadCpuSeconds(a));
+    best.b_s = std::min(best.b_s, ThreadCpuSeconds(b));
+  }
+  return best;
 }
 
 }  // namespace cloudia::bench

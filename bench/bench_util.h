@@ -7,6 +7,7 @@
 #ifndef CLOUDIA_BENCH_BENCH_UTIL_H_
 #define CLOUDIA_BENCH_BENCH_UTIL_H_
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -47,6 +48,20 @@ deploy::CostMatrix MeasuredMeanCosts(const net::CloudSimulator& cloud,
 
 /// All off-diagonal entries of a cost matrix.
 std::vector<double> OffDiagonal(const deploy::CostMatrix& m);
+
+/// Minimum thread-CPU seconds of one call of `a` and of `b` over `blocks`
+/// alternating calls (after one untimed warm-up call each). Each call must
+/// do the same work every time. Load only ever adds time and adjacent calls
+/// see the same machine state, so the ratio of the two minimums resolves
+/// small differences on a shared machine. Both bodies run out of line,
+/// behind the std::function, so loops compared this way compile alike.
+struct MinBlockSeconds {
+  double a_s = 0.0;
+  double b_s = 0.0;
+};
+MinBlockSeconds AlternatingMinSeconds(const std::function<void()>& a,
+                                      const std::function<void()>& b,
+                                      long long blocks);
 
 // -- Unified bench metric schema ---------------------------------------------
 //

@@ -7,6 +7,7 @@
 #include "common/check.h"
 #include "common/timer.h"
 #include "deploy/solver_registry.h"
+#include "measure/recipe.h"
 
 namespace cloudia {
 
@@ -50,22 +51,18 @@ Status DeploymentSession::Measure() {
 
   obs::Span span(options_.obs.tracer, "session.measure", "session",
                  options_.obs.parent);
-  measure::ProtocolOptions popts;
-  popts.msg_bytes = options_.probe_bytes;
-  popts.keep_percentiles = options_.metric == measure::CostMetric::kP99;
-  popts.seed = measure::MeasurementProtocolSeed(options_.seed);
-  popts.cancel = options_.cancel;
-  popts.duration_s = options_.measure_duration_s > 0
-                         ? options_.measure_duration_s
-                         : measure::DefaultMeasureDurationS(allocated_.size());
   CLOUDIA_ASSIGN_OR_RETURN(
-      measure::MeasurementResult measurement,
-      measure::RunProtocol(*cloud_, allocated_, options_.protocol, popts));
-  measure_virtual_s_ = measurement.virtual_time_ms / 1e3;
-  // Full coverage is required here: a sentinel-poisoned matrix would skew
-  // every Solve() this session caches it for.
-  CLOUDIA_ASSIGN_OR_RETURN(
-      costs_, measure::BuildCostMatrix(measurement, options_.metric));
+      measure::MeasuredMatrix measured,
+      measure::MeasureCostMatrix(
+          *cloud_, allocated_,
+          {.protocol = options_.protocol,
+           .metric = options_.metric,
+           .duration_s = options_.measure_duration_s,
+           .probe_bytes = options_.probe_bytes,
+           .seed = options_.seed},
+          options_.cancel, options_.obs.Under(span.id())));
+  costs_ = std::move(measured.costs);
+  measure_virtual_s_ = measured.virtual_s;
   measured_done_ = true;
   return Status::OK();
 }

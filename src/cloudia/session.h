@@ -67,7 +67,8 @@ struct SessionOptions {
 
   /// Observability sinks (obs/obs.h). With a tracer attached, every stage
   /// emits a span ("session.allocate" / "session.measure" /
-  /// "session.solve.<method>", nested under obs.parent) and solves report
+  /// "session.solve.<method>", nested under obs.parent; the measurement's
+  /// "measure.run" nests under "session.measure") and solves report
   /// incumbent events through their SolveContext. Does not alter solver
   /// behavior: solves are bit-identical with and without sinks attached.
   obs::ObsConfig obs;

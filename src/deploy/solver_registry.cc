@@ -8,8 +8,7 @@
 #include "deploy/cp_llndp.h"
 #include "deploy/greedy.h"
 #include "deploy/local_search.h"
-#include "deploy/mip_llndp.h"
-#include "deploy/mip_lpndp.h"
+#include "deploy/mip_ndp.h"
 #include "deploy/portfolio.h"
 #include "deploy/random_search.h"
 #include "hier/solver.h"

@@ -53,10 +53,9 @@ struct ProtocolOptions {
   Status Validate() const;
 };
 
-/// Derives the protocol seed from a session/environment seed. Shared by
-/// cloudia::DeploymentSession and service::MeasureEnvironment so that both
-/// paths measure bit-identically given the same seed -- the cache's
-/// AdoptMeasurement consumers rely on interchangeable matrices.
+/// Derives the protocol seed from a measurement seed. Applied by
+/// MeasureCostMatrix (measure/recipe.h), the recipe every measuring layer
+/// goes through.
 uint64_t MeasurementProtocolSeed(uint64_t seed);
 
 /// The paper's default measurement budget: 5 minutes per 100 instances,

@@ -1,5 +1,6 @@
 #include "obs/trace.h"
 
+#include <cmath>
 #include <cstdio>
 
 namespace cloudia::obs {
@@ -116,7 +117,9 @@ void AppendArgs(std::string& out, const TraceEvent& event) {
     first = false;
     AppendJsonString(out, arg.key);
     out += ':';
-    if (arg.is_number) {
+    if (arg.is_number && !std::isfinite(arg.number)) {
+      out += "null";  // JSON has no inf or NaN
+    } else if (arg.is_number) {
       char buf[64];
       std::snprintf(buf, sizeof(buf), "%.9g", arg.number);
       out += buf;

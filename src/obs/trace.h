@@ -29,7 +29,8 @@ namespace cloudia::obs {
 /// Handle to a span. 0 means "no span" (top level / tracing disabled).
 using SpanId = int64_t;
 
-/// One key=value annotation; numbers export as JSON numbers.
+/// One key=value annotation; numbers export as JSON numbers (a non-finite
+/// one as null).
 struct TraceArg {
   std::string key;
   bool is_number = false;

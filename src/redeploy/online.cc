@@ -4,7 +4,7 @@
 
 #include "common/check.h"
 #include "measure/event_queue.h"
-#include "measure/probe_engine.h"
+#include "measure/recipe.h"
 #include "obs/obs.h"
 
 namespace cloudia::redeploy {
@@ -82,29 +82,21 @@ Result<OnlineOutcome> RunOnlineRedeployment(
           escalations_counter.Add();
 
           // Full re-measure of the pool at this virtual instant, with the
-          // same recipe as the baseline measurement. The protocol seed is
-          // re-derived per escalation so repeated refreshes do not replay
-          // the baseline's sample stream.
-          measure::ProtocolOptions popts;
-          popts.msg_bytes = options.probe_bytes;
-          popts.start_t_hours = t_hours;
-          popts.seed = measure::MeasurementProtocolSeed(
-              options.measure_seed +
-              0x9e3779b97f4a7c15ULL *
-                  static_cast<uint64_t>(outcome.escalations));
-          popts.keep_percentiles = options.metric == measure::CostMetric::kP99;
-          popts.cancel = options.cancel;
-          popts.duration_s = options.measure_duration_s > 0
-                                 ? options.measure_duration_s
-                                 : measure::DefaultMeasureDurationS(pool.size());
-          auto measured =
-              measure::RunProtocol(cloud, pool, options.protocol, popts);
-          if (!measured.ok()) {
-            failure = measured.status();
-            return;
-          }
-          auto refreshed =
-              measure::BuildCostMatrix(*measured, options.metric);
+          // baseline measurement's spec. The measurement seed is re-derived
+          // per escalation so repeated refreshes do not replay the
+          // baseline's sample stream.
+          const measure::MeasurementSpec spec{
+              .protocol = options.protocol,
+              .metric = options.metric,
+              .duration_s = options.measure_duration_s,
+              .probe_bytes = options.probe_bytes,
+              .seed = options.measure_seed +
+                      0x9e3779b97f4a7c15ULL *
+                          static_cast<uint64_t>(outcome.escalations),
+              .start_t_hours = t_hours};
+          auto refreshed = measure::MeasureCostMatrix(
+              cloud, pool, spec, options.cancel,
+              options.obs.Under(check_span.id()));
           if (!refreshed.ok()) {
             failure = refreshed.status();
             return;
@@ -114,16 +106,16 @@ Result<OnlineOutcome> RunOnlineRedeployment(
           record.remeasured = true;
           // Advance the virtual clock past the re-measure so the check's
           // span duration reflects the protocol time the escalation paid.
+          const double duration_s = spec.DurationS(pool.size());
           if (options.virtual_clock != nullptr) {
-            options.virtual_clock->SetSeconds(t_hours * 3600.0 +
-                                              popts.duration_s);
+            options.virtual_clock->SetSeconds(t_hours * 3600.0 + duration_s);
           }
-          outcome.latest_costs = std::move(refreshed).value();
+          outcome.latest_costs = std::move(refreshed->costs);
           // Observers get the instant the re-measure *completed*: that is
           // where a drift timeline for this matrix starts (matching how a
           // baseline measured from t = 0 is stamped with its duration).
           if (on_refresh) {
-            on_refresh(t_hours + popts.duration_s / 3600.0,
+            on_refresh(t_hours + duration_s / 3600.0,
                        outcome.latest_costs);
           }
 

@@ -44,6 +44,8 @@ struct OnlineOptions {
   /// <= 0 selects the paper's 5-min-per-100-instances rule.
   double measure_duration_s = 0.0;
   double probe_bytes = net::kDefaultProbeBytes;
+  /// Escalation k (1-based) re-measures with measurement seed
+  /// measure_seed + 0x9e3779b97f4a7c15 * k, starting at its check's hour.
   uint64_t measure_seed = 1;
 
   /// Cooperative cancellation, polled between checks and threaded into the
@@ -53,10 +55,11 @@ struct OnlineOptions {
   /// Optional observability sinks. Counters:
   /// redeploy.monitor.checks / .escalations, redeploy.measure.remeasures,
   /// redeploy.planner.moves. Spans: one "redeploy.check" per drift check
-  /// under obs.parent. With `virtual_clock` set, the clock is advanced to
-  /// each check's virtual event time before its span opens, so the trace is
-  /// stamped in virtual time and byte-identical across runs (the loop is
-  /// single-threaded and deterministic for fixed seeds).
+  /// under obs.parent, with a re-measure's "measure.run" under it. With
+  /// `virtual_clock` set, the clock is advanced to each check's virtual
+  /// event time before its span opens, so the trace is stamped in virtual
+  /// time and byte-identical across runs (the loop is single-threaded and
+  /// deterministic for fixed seeds).
   obs::ObsConfig obs;
   obs::VirtualClock* virtual_clock = nullptr;
 };

@@ -517,7 +517,7 @@ void AdvisorService::ExecuteRedeploy(
   // (single-flight, so a deploy and a redeploy on a cold environment still
   // pay for one measurement).
   Result<CostMatrixCache::Lookup> lookup =
-      cache_.Get(req.environment, state->cancel);
+      cache_.Get(req.environment, state->cancel, options_.obs);
   if (!lookup.ok()) {
     fail(lookup.status());
     return;
@@ -759,7 +759,8 @@ void AdvisorService::ExecuteJob(const std::shared_ptr<Job>& job) {
   // -- Stage 1: resolve the cost matrix (cache / single-flight measure) ------
   job->stage.store(static_cast<int>(RequestStage::kMeasuring));
   Result<CostMatrixCache::Lookup> lookup =
-      cache_.Get(job->request.environment, job->job_cancel);
+      cache_.Get(job->request.environment, job->job_cancel,
+                 options_.obs.Under(job_span.id()));
   if (!lookup.ok()) {
     ServiceResult r;
     r.status = lookup.status();

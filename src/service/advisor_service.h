@@ -271,7 +271,8 @@ class AdvisorService {
     /// private registry, which sessions and redeploy loops never see; two
     /// services sharing one registry report summed counts. With a tracer,
     /// every job emits a "service.job" span with the session stage spans
-    /// nested under it. Both sinks must outlive the service.
+    /// and the job's own measurement ("measure.run") nested under it. Both
+    /// sinks must outlive the service.
     obs::ObsConfig obs;
   };
 

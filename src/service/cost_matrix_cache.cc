@@ -30,12 +30,6 @@ CostMatrixCache::CostMatrixCache(Options options)
       metrics_(options_.metrics != nullptr ? options_.metrics
                                            : owned_metrics_.get()) {
   if (options_.capacity < 1) options_.capacity = 1;
-  if (!options_.measure_fn) {
-    options_.measure_fn = [](const EnvironmentSpec& spec,
-                             const CancelToken& cancel) {
-      return MeasureEnvironment(spec, cancel);
-    };
-  }
   if (!options_.now_fn) options_.now_fn = obs::SteadyNowSeconds;
 }
 
@@ -94,7 +88,8 @@ Result<CostMatrixCache::EntryPtr> CostMatrixCache::GetOrMeasure(
 }
 
 Result<CostMatrixCache::Lookup> CostMatrixCache::Get(
-    const EnvironmentSpec& spec, CancelToken cancel) {
+    const EnvironmentSpec& spec, CancelToken cancel,
+    const obs::ObsConfig& obs) {
   const std::string key = spec.Key();
   bool ever_waited = false;
   bool counted_miss = false;  // one hit-or-miss per logical lookup
@@ -145,7 +140,9 @@ Result<CostMatrixCache::Lookup> CostMatrixCache::Get(
 
     if (leader) {
       Result<MeasuredEnvironment> measured =
-          options_.measure_fn(spec, flight->measure_cancel);
+          options_.measure_fn
+              ? options_.measure_fn(spec, flight->measure_cancel)
+              : MeasureEnvironment(spec, flight->measure_cancel, obs);
       EntryPtr entry;
       if (measured.ok()) {
         entry = std::make_shared<const MeasuredEnvironment>(

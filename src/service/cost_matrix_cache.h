@@ -35,6 +35,7 @@
 #include "common/cancel.h"
 #include "common/result.h"
 #include "obs/metrics.h"
+#include "obs/obs.h"
 #include "service/environment.h"
 
 namespace cloudia::service {
@@ -43,7 +44,7 @@ class CostMatrixCache {
  public:
   using EntryPtr = std::shared_ptr<const MeasuredEnvironment>;
   /// Signature of the measurement step; injectable for tests (count calls,
-  /// add latency, fail on demand). Defaults to MeasureEnvironment().
+  /// add latency, fail on demand). Unset: MeasureEnvironment().
   using MeasureFn = std::function<Result<MeasuredEnvironment>(
       const EnvironmentSpec&, const CancelToken&)>;
 
@@ -71,7 +72,7 @@ class CostMatrixCache {
   struct Stats {
     uint64_t hits = 0;          ///< served from a completed entry
     uint64_t misses = 0;        ///< no valid entry at lookup time
-    uint64_t measurements = 0;  ///< measure_fn invocations (the paid work)
+    uint64_t measurements = 0;  ///< measurements run (the paid work)
     uint64_t coalesced = 0;     ///< callers who waited on an in-flight run
     uint64_t evictions = 0;     ///< LRU evictions
     uint64_t expirations = 0;   ///< TTL expirations
@@ -89,13 +90,16 @@ class CostMatrixCache {
   Result<EntryPtr> GetOrMeasure(const EnvironmentSpec& spec,
                                 CancelToken cancel = {});
 
-  /// Like GetOrMeasure, plus telemetry about how this call was served.
+  /// Like GetOrMeasure, plus telemetry about how this call was served. A
+  /// measurement this call leads puts its "measure.run" span on `obs`
+  /// (the test hook measure_fn takes none).
   struct Lookup {
     EntryPtr entry;
     bool hit = false;     ///< served from a completed entry, nothing waited
     bool waited = false;  ///< coalesced behind an in-flight measurement
   };
-  Result<Lookup> Get(const EnvironmentSpec& spec, CancelToken cancel = {});
+  Result<Lookup> Get(const EnvironmentSpec& spec, CancelToken cancel = {},
+                     const obs::ObsConfig& obs = {});
 
   /// Installs (or replaces) the completed entry for `env.spec` with a fresh
   /// TTL -- the redeployment path's refresh hook: when drift monitoring

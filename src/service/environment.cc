@@ -1,7 +1,9 @@
 #include "service/environment.h"
 
+#include <algorithm>
 #include <cstdio>
 
+#include "measure/recipe.h"
 #include "netsim/provider.h"
 
 namespace cloudia::service {
@@ -11,10 +13,8 @@ std::string EnvironmentSpec::Key() const {
   // spec leaving it unset and one spelling the same value explicitly are
   // byte-identical measurements and must share a cache entry.
   const double duration_s =
-      measure_duration_s > 0
-          ? measure_duration_s
-          : measure::DefaultMeasureDurationS(
-                static_cast<size_t>(instances > 0 ? instances : 0));
+      measure::MeasurementSpec{.duration_s = measure_duration_s}.DurationS(
+          static_cast<size_t>(std::max(instances, 0)));
   char buf[160];
   std::snprintf(buf, sizeof(buf), "|n=%d|p=%s|m=%s|d=%.17g|b=%.17g|s=%llu",
                 instances, measure::ProtocolName(protocol),
@@ -49,6 +49,12 @@ Status FillInstancePrices(std::string_view provider,
 
 Result<MeasuredEnvironment> MeasureEnvironment(const EnvironmentSpec& spec,
                                                const CancelToken& cancel) {
+  return MeasureEnvironment(spec, cancel, {});
+}
+
+Result<MeasuredEnvironment> MeasureEnvironment(const EnvironmentSpec& spec,
+                                               const CancelToken& cancel,
+                                               const obs::ObsConfig& obs) {
   if (spec.instances < 2) {
     return Status::InvalidArgument(
         "environment needs >= 2 instances, got " +
@@ -62,25 +68,17 @@ Result<MeasuredEnvironment> MeasureEnvironment(const EnvironmentSpec& spec,
   env.spec = spec;
   CLOUDIA_ASSIGN_OR_RETURN(env.instances, cloud.Allocate(spec.instances));
 
-  // Same recipe as DeploymentSession::Measure() -- the shared helpers keep
-  // the two paths bit-identical (test_advisor_service pins this).
-  measure::ProtocolOptions popts;
-  popts.msg_bytes = spec.probe_bytes;
-  popts.keep_percentiles = spec.metric == measure::CostMetric::kP99;
-  popts.seed = measure::MeasurementProtocolSeed(spec.seed);
-  popts.cancel = cancel;
-  popts.duration_s =
-      spec.measure_duration_s > 0
-          ? spec.measure_duration_s
-          : measure::DefaultMeasureDurationS(env.instances.size());
   CLOUDIA_ASSIGN_OR_RETURN(
-      measure::MeasurementResult measurement,
-      measure::RunProtocol(cloud, env.instances, spec.protocol, popts));
-  env.measure_virtual_s = measurement.virtual_time_ms / 1e3;
-  // Full coverage required: a sentinel-poisoned matrix would skew every
-  // solve the cache serves it to (same policy as DeploymentSession).
-  CLOUDIA_ASSIGN_OR_RETURN(env.costs,
-                           measure::BuildCostMatrix(measurement, spec.metric));
+      measure::MeasuredMatrix measured,
+      measure::MeasureCostMatrix(cloud, env.instances,
+                                 {.protocol = spec.protocol,
+                                  .metric = spec.metric,
+                                  .duration_s = spec.measure_duration_s,
+                                  .probe_bytes = spec.probe_bytes,
+                                  .seed = spec.seed},
+                                 cancel, obs));
+  env.costs = std::move(measured.costs);
+  env.measure_virtual_s = measured.virtual_s;
   return env;
 }
 

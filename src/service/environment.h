@@ -21,6 +21,7 @@
 #include "deploy/cost_matrix.h"
 #include "measure/protocols.h"
 #include "netsim/cloud.h"
+#include "obs/obs.h"
 
 namespace cloudia::service {
 
@@ -76,12 +77,17 @@ Status FillInstancePrices(std::string_view provider,
                           deploy::ObjectiveSpec* objective);
 
 /// Allocates spec.instances on a fresh simulator seeded with spec.seed and
-/// runs the measurement protocol. Deterministic: equal specs produce
-/// bit-identical matrices, matching what a cloudia::DeploymentSession with
-/// the same options would have measured. `cancel` aborts the measurement
-/// mid-flight with Status::Cancelled.
+/// measures them through measure::MeasureCostMatrix. Deterministic: equal
+/// specs produce bit-identical matrices, matching what a
+/// cloudia::DeploymentSession with the same options would have measured.
+/// `cancel` aborts the measurement mid-flight with Status::Cancelled.
 Result<MeasuredEnvironment> MeasureEnvironment(const EnvironmentSpec& spec,
                                                const CancelToken& cancel = {});
+
+/// The same, with the measurement's "measure.run" span on `obs`.
+Result<MeasuredEnvironment> MeasureEnvironment(const EnvironmentSpec& spec,
+                                               const CancelToken& cancel,
+                                               const obs::ObsConfig& obs);
 
 }  // namespace cloudia::service
 

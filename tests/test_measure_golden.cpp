@@ -14,12 +14,15 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "cloudia/session.h"
 #include "graph/templates.h"
 #include "measure/protocols.h"
+#include "measure/recipe.h"
 #include "netsim/cloud.h"
 #include "netsim/dynamics.h"
+#include "redeploy/online.h"
 #include "service/advisor_service.h"
 #include "service/environment.h"
 
@@ -202,6 +205,69 @@ TEST(MeasureGoldenTest, P99ServiceRequestAndSessionAreBitIdentical) {
   const uint64_t measured = HashMatrix(session.costs(), kFnvOffset);
   EXPECT_EQ(measured, 0x00cbe4f1c5499f98ULL)
       << "got 0x" << std::hex << measured;
+}
+
+// The redeploy loop's first escalated re-measure is the recipe run with
+// that escalation's seed (measure_seed + 0x9e3779b97f4a7c15 * 1) from its
+// check's hour, bit for bit. The pinned hashes are those of the loop's
+// earlier inline copy of the recipe.
+TEST(MeasureGoldenTest, RedeployRemeasureIsTheRecipe) {
+  const uint64_t seed = 4;
+  net::CloudSimulator cloud(net::AmazonEc2Profile(), seed);
+  auto pool = cloud.Allocate(10);
+  ASSERT_TRUE(pool.ok());
+  auto baseline = MeasureCostMatrix(cloud, *pool,
+                                    {.duration_s = 30.0, .seed = seed});
+  ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
+
+  net::DynamicsConfig drift;
+  drift.start_hours = baseline->virtual_s / 3600.0;
+  drift.episode_rate = 0.6;
+  drift.severity_lo = 2.0;
+  drift.severity_hi = 3.5;
+  drift.seed = seed + 1;
+  net::NetworkDynamics dynamics(drift, &cloud.topology());
+  cloud.AttachDynamics(&dynamics);
+
+  graph::CommGraph app = graph::Mesh2D(2, 4);
+  deploy::Deployment initial = {0, 1, 2, 3, 4, 5, 6, 7};
+  redeploy::OnlineOptions online;
+  online.monitor.seed = seed + 17;
+  online.planner.max_migrations = 2;
+  online.planner.time_budget_s = 1.0;
+  online.start_t_hours = drift.start_hours;
+  online.check_interval_s = 900.0;
+  online.checks = 6;
+  online.measure_duration_s = 20.0;
+  online.measure_seed = seed;
+  std::vector<deploy::CostMatrix> refreshed;
+  auto outcome = redeploy::RunOnlineRedeployment(
+      cloud, *pool, app, baseline->costs, initial, online,
+      [&](double, const deploy::CostMatrix& costs) {
+        refreshed.push_back(costs);
+      });
+  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+  ASSERT_FALSE(refreshed.empty()) << "no check escalated";
+
+  double first_hour = -1.0;
+  for (const redeploy::OnlineCheckRecord& record : outcome->records) {
+    if (record.remeasured) {
+      first_hour = record.check.t_hours;
+      break;
+    }
+  }
+  ASSERT_GE(first_hour, 0.0);
+  auto recipe = MeasureCostMatrix(
+      cloud, *pool,
+      {.duration_s = 20.0,
+       .seed = seed + 0x9e3779b97f4a7c15ULL,
+       .start_t_hours = first_hour});
+  ASSERT_TRUE(recipe.ok()) << recipe.status().ToString();
+  const uint64_t remeasured = HashMatrix(refreshed.front(), kFnvOffset);
+  EXPECT_EQ(remeasured, HashMatrix(recipe->costs, kFnvOffset));
+  EXPECT_EQ(remeasured, 0x76887ea5176010c0ULL)
+      << "got 0x" << std::hex << remeasured;
+  EXPECT_EQ(HashMatrix(baseline->costs, kFnvOffset), 0xb30d15a26422e43bULL);
 }
 
 }  // namespace

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
-#include "deploy/mip_llndp.h"
-#include "deploy/mip_lpndp.h"
+#include "deploy/mip_ndp.h"
 #include "deploy/random_search.h"
 #include "deploy_test_util.h"
 #include "graph/templates.h"

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -274,6 +275,24 @@ TEST(TraceTest, ChromeExportClosesOpenSpans) {
   ASSERT_EQ(events.size(), 1u);
   EXPECT_EQ(events[0].duration_ns, -1);
   tracer.EndSpan(open);
+}
+
+TEST(TraceTest, NonFiniteArgsExportAsNull) {
+  VirtualClock clock;
+  Tracer tracer(&clock);
+  tracer.Instant("bounds", "test", 0,
+                 {Arg("pos", std::numeric_limits<double>::infinity()),
+                  Arg("neg", -std::numeric_limits<double>::infinity()),
+                  Arg("nan", std::numeric_limits<double>::quiet_NaN()),
+                  Arg("finite", 0.5)});
+  const std::string json = tracer.ToChromeTraceJson();
+  EXPECT_NE(json.find("\"pos\":null"), std::string::npos);
+  EXPECT_NE(json.find("\"neg\":null"), std::string::npos);
+  EXPECT_NE(json.find("\"nan\":null"), std::string::npos);
+  EXPECT_NE(json.find("\"finite\":0.5"), std::string::npos);
+  for (const char* bare : {":inf", ":-inf", ":nan", ":-nan", ":INF", ":NAN"}) {
+    EXPECT_EQ(json.find(bare), std::string::npos) << bare;
+  }
 }
 
 TEST(TraceTest, ConcurrentSpansAreRecordedCompletely) {

@@ -17,11 +17,12 @@
 #include "graph/templates.h"
 #include "hier/cost_source.h"
 #include "hier/solver.h"
-#include "measure/protocols.h"
+#include "measure/recipe.h"
 #include "netsim/cloud.h"
 #include "netsim/dynamics.h"
 #include "obs/obs.h"
 #include "redeploy/online.h"
+#include "service/advisor_service.h"
 
 namespace cloudia {
 namespace {
@@ -247,6 +248,50 @@ TEST(ObsIntegrationTest, TracedMipSolveIsBitIdenticalAndSummarized) {
   EXPECT_EQ(summaries, 1);
 }
 
+// A traced service request measures under one "measure.run" span, a child
+// of its "service.job" span, and gets the same matrix bit for bit as the
+// same request untraced.
+TEST(ObsIntegrationTest, TracedServiceRequestLightsItsMeasurement) {
+  graph::CommGraph app = graph::Mesh2D(3, 4);
+  auto measure = [&app](const obs::ObsConfig& obs) {
+    service::DeploymentRequest req;
+    req.environment.instances = 14;
+    req.environment.measure_duration_s = 20.0;
+    req.environment.seed = 9;
+    req.app = &app;
+    req.solve.method = "g2";
+    service::AdvisorService::Options options;
+    options.threads = 1;
+    options.obs = obs;
+    service::AdvisorService service(options);
+    const service::EnvironmentSpec spec = req.environment;
+    CLOUDIA_CHECK(service.Submit(std::move(req)).Wait().status.ok());
+    auto cached = service.cache().Get(spec);
+    CLOUDIA_CHECK(cached.ok() && cached->hit);
+    return cached->entry->costs;
+  };
+  const CostMatrix plain = measure({});
+
+  obs::Tracer tracer;
+  obs::ObsConfig obs;
+  obs.tracer = &tracer;
+  const CostMatrix traced = measure(obs);
+  ASSERT_EQ(plain.size(), traced.size());
+  EXPECT_TRUE(std::equal(plain.values().begin(), plain.values().end(),
+                         traced.values().begin()));  // bitwise, not NEAR
+
+  const std::vector<obs::TraceEvent> events = tracer.Snapshot();
+  const obs::TraceEvent* job = FindSpan(events, "service.job");
+  const obs::TraceEvent* run = FindSpan(events, "measure.run");
+  ASSERT_NE(job, nullptr);
+  ASSERT_NE(run, nullptr);
+  EXPECT_EQ(run->parent, job->id);
+  EXPECT_EQ(ArgText(*run, "protocol"), "Staged");
+  EXPECT_EQ(ArgNumber(*run, "instances"), 14.0);
+  EXPECT_GT(ArgNumber(*run, "samples"), 0.0);
+  EXPECT_GT(ArgNumber(*run, "virtual_s"), 0.0);
+}
+
 // The redeploy event-queue loop with an injected VirtualClock must produce
 // byte-identical Chrome trace JSON across runs: timestamps are virtual,
 // span ids are a counter, lanes are logical.
@@ -257,18 +302,12 @@ TEST(ObsIntegrationTest, RedeployVirtualClockTraceIsByteStable) {
     auto pool = cloud.Allocate(10);
     CLOUDIA_CHECK(pool.ok());
 
-    measure::ProtocolOptions popts;
-    popts.seed = measure::MeasurementProtocolSeed(seed);
-    popts.duration_s = 30.0;
-    auto measured =
-        measure::RunProtocol(cloud, *pool, measure::Protocol::kStaged, popts);
+    auto measured = measure::MeasureCostMatrix(
+        cloud, *pool, {.duration_s = 30.0, .seed = seed});
     CLOUDIA_CHECK(measured.ok());
-    auto baseline =
-        measure::BuildCostMatrix(*measured, measure::CostMetric::kMean);
-    CLOUDIA_CHECK(baseline.ok());
 
     net::DynamicsConfig drift;
-    drift.start_hours = measured->virtual_time_ms / 3.6e6;
+    drift.start_hours = measured->virtual_s / 3600.0;
     drift.episode_rate = 0.6;
     drift.severity_lo = 2.0;
     drift.severity_hi = 3.5;
@@ -295,8 +334,8 @@ TEST(ObsIntegrationTest, RedeployVirtualClockTraceIsByteStable) {
     online.obs.tracer = &tracer;
     online.obs.metrics = &registry;
     online.virtual_clock = &clock;
-    auto outcome = redeploy::RunOnlineRedeployment(cloud, *pool, app,
-                                                   *baseline, initial, online);
+    auto outcome = redeploy::RunOnlineRedeployment(
+        cloud, *pool, app, measured->costs, initial, online);
     CLOUDIA_CHECK(outcome.ok());
     return tracer.ToChromeTraceJson() + "\n" + registry.SnapshotLine();
   };
@@ -306,6 +345,7 @@ TEST(ObsIntegrationTest, RedeployVirtualClockTraceIsByteStable) {
   EXPECT_FALSE(first.empty());
   EXPECT_EQ(first, second);  // byte-for-byte, trace and counters
   EXPECT_NE(first.find("redeploy.check"), std::string::npos);
+  EXPECT_NE(first.find("measure.run"), std::string::npos);  // a re-measure
   EXPECT_NE(first.find("redeploy.monitor.checks=6"), std::string::npos);
 }
 
