@@ -105,15 +105,10 @@ RunOutcome RunNaive(const Workload& w) {
       out.deployments.emplace_back();
       continue;
     }
-    cloudia::DeploymentSession session(nullptr, req.app, {});
-    Status adopted =
-        session.AdoptMeasurement(std::move(measured->instances),
-                                 std::move(measured->costs),
-                                 measured->measure_virtual_s);
-    CLOUDIA_CHECK(adopted.ok());
     cloudia::SolveSpec spec = req.solve;
     spec.threads = 1;
-    auto solve = session.Solve(spec);
+    auto solve = cloudia::SolveOnPool(*req.app, measured->instances,
+                                      measured->costs, spec);
     if (!solve.ok()) {
       ++out.failed;
       out.costs.push_back(-1);

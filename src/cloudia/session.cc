@@ -15,17 +15,13 @@ DeploymentSession::DeploymentSession(net::CloudSimulator* cloud,
                                      const graph::CommGraph* app,
                                      SessionOptions options)
     : cloud_(cloud), app_(app), options_(std::move(options)) {
+  CLOUDIA_CHECK(cloud != nullptr);
   CLOUDIA_CHECK(app != nullptr);
 }
 
 Status DeploymentSession::Allocate() {
   if (allocated_done_) {
     return Status::InvalidArgument("Allocate() already ran in this session");
-  }
-  if (cloud_ == nullptr) {
-    return Status::InvalidArgument(
-        "session has no cloud: construct it with a CloudSimulator or feed it "
-        "via AdoptMeasurement()");
   }
   const int n = app_->num_nodes();
   if (n < 2) return Status::InvalidArgument("application needs >= 2 nodes");
@@ -67,72 +63,42 @@ Status DeploymentSession::Measure() {
   return Status::OK();
 }
 
-Status DeploymentSession::AdoptMeasurement(std::vector<net::Instance> instances,
-                                           deploy::CostMatrix costs,
-                                           double measure_virtual_s) {
-  // Re-adoption is the redeployment re-solve path: a session fed by an
-  // external cache may adopt a *refreshed* matrix in place and keep its
-  // solve history. A session that allocated or measured its own pool owns
-  // those instances -- swapping the pool out from under it would leak them
-  // -- so only never-started and previously-adopted sessions qualify.
-  const bool readopting = !owns_pool_ && !terminated_done_;
-  if ((allocated_done_ || measured_done_) && !readopting) {
-    return Status::InvalidArgument(
-        "AdoptMeasurement() on a session that already allocated or measured "
-        "its own pool (re-adoption only replaces adopted measurements)");
-  }
-  if (instances.size() < 2) {
-    return Status::InvalidArgument("adopted pool needs >= 2 instances");
-  }
-  if (costs.size() != static_cast<int>(instances.size())) {
-    return Status::InvalidArgument(
-        "adopted cost matrix covers " + std::to_string(costs.size()) +
-        " instances but the pool has " + std::to_string(instances.size()));
-  }
-  allocated_ = std::move(instances);
-  costs_ = std::move(costs);
-  measure_virtual_s_ = measure_virtual_s;
-  allocated_done_ = true;
-  measured_done_ = true;
-  owns_pool_ = false;
-  return Status::OK();
-}
-
-Result<SessionSolve> DeploymentSession::Solve(const SolveSpec& spec) {
-  if (terminated_done_) {
-    return Status::InvalidArgument(
-        "Solve() after Terminate(): the over-allocated instances are gone");
-  }
-  if (!measured_done_) CLOUDIA_RETURN_IF_ERROR(Measure());
-
-  const graph::CommGraph* graph = spec.app != nullptr ? spec.app : app_;
-  const int n = graph->num_nodes();
-  if (n > static_cast<int>(allocated_.size())) {
+Result<SessionSolve> SolveOnPool(const graph::CommGraph& app,
+                                 const std::vector<net::Instance>& pool,
+                                 const deploy::CostMatrix& costs,
+                                 const SolveSpec& spec,
+                                 const obs::ObsConfig& obs) {
+  const int n = app.num_nodes();
+  if (n > static_cast<int>(pool.size())) {
     return Status::InvalidArgument(
         "application graph needs " + std::to_string(n) +
-        " nodes but the session allocated only " +
-        std::to_string(allocated_.size()) + " instances");
+        " nodes but the pool has only " + std::to_string(pool.size()) +
+        " instances");
+  }
+  if (costs.size() != static_cast<int>(pool.size())) {
+    return Status::InvalidArgument(
+        "cost matrix covers " + std::to_string(costs.size()) +
+        " instances but the pool has " + std::to_string(pool.size()));
   }
 
-  // The canonical name labels the span and the history entry; the solve
-  // itself goes through the facade, which checks the objective and graph.
+  // The canonical name labels the span and the result; the solve itself
+  // goes through the facade, which checks the objective and graph.
   CLOUDIA_ASSIGN_OR_RETURN(const deploy::NdpSolver* solver,
                            deploy::SolverRegistry::Global().Require(spec.method));
-  obs::Span span(options_.obs.tracer,
-                 std::string("session.solve.") + solver->name(), "session",
-                 options_.obs.parent);
+  obs::Span span(obs.tracer, std::string("session.solve.") + solver->name(),
+                 "session", obs.parent);
   deploy::SolveContext context(Deadline::After(spec.time_budget_s),
                                spec.cancel, spec.on_progress);
   context.set_max_threads(spec.threads);
   if (spec.shared_incumbent != nullptr) {
     context.set_shared_incumbent(spec.shared_incumbent);
   }
-  if (options_.obs.tracer != nullptr) {
-    context.set_obs(options_.obs.tracer, span.id(), solver->name());
+  if (obs.tracer != nullptr) {
+    context.set_obs(obs.tracer, span.id(), solver->name());
   }
   CLOUDIA_ASSIGN_OR_RETURN(deploy::NdpSolveResult result,
                            deploy::SolveNodeDeploymentByName(
-                               *graph, costs_, solver->name(), spec, context));
+                               app, costs, solver->name(), spec, context));
 
   SessionSolve solve;
   solve.method = solver->name();
@@ -142,7 +108,7 @@ Result<SessionSolve> DeploymentSession::Solve(const SolveSpec& spec) {
 
   CLOUDIA_ASSIGN_OR_RETURN(
       deploy::CostEvaluator eval,
-      deploy::CostEvaluator::Create(graph, &costs_, spec.objective));
+      deploy::CostEvaluator::Create(&app, &costs, spec.objective));
 
   deploy::Deployment default_deployment(static_cast<size_t>(n));
   for (int i = 0; i < n; ++i) default_deployment[static_cast<size_t>(i)] = i;
@@ -155,10 +121,22 @@ Result<SessionSolve> DeploymentSession::Solve(const SolveSpec& spec) {
   solve.placement.reserve(static_cast<size_t>(n));
   for (int i = 0; i < n; ++i) {
     int idx = result.deployment[static_cast<size_t>(i)];
-    solve.placement.push_back(allocated_[static_cast<size_t>(idx)]);
+    solve.placement.push_back(pool[static_cast<size_t>(idx)]);
   }
   solve.result = std::move(result);
+  return solve;
+}
 
+Result<SessionSolve> DeploymentSession::Solve(const SolveSpec& spec) {
+  if (terminated_done_) {
+    return Status::InvalidArgument(
+        "Solve() after Terminate(): the over-allocated instances are gone");
+  }
+  if (!measured_done_) CLOUDIA_RETURN_IF_ERROR(Measure());
+  const graph::CommGraph& graph = spec.app != nullptr ? *spec.app : *app_;
+  CLOUDIA_ASSIGN_OR_RETURN(
+      SessionSolve solve,
+      SolveOnPool(graph, allocated_, costs_, spec, options_.obs));
   solves_.push_back(std::move(solve));
   return solves_.back();
 }
@@ -181,11 +159,6 @@ Result<std::vector<net::Instance>> DeploymentSession::Terminate() {
   if (!allocated_done_) {
     return Status::InvalidArgument("Terminate() before Allocate()");
   }
-  if (!owns_pool_) {
-    return Status::InvalidArgument(
-        "Terminate() on an adopted pool: the layer that measured these "
-        "instances owns their lifetime");
-  }
   std::vector<net::Instance> terminated = allocated_;
   cloud_->Terminate(terminated);
   terminated_done_ = true;
@@ -199,11 +172,6 @@ Result<std::vector<net::Instance>> DeploymentSession::Terminate(
   }
   if (!allocated_done_) {
     return Status::InvalidArgument("Terminate() before Allocate()");
-  }
-  if (!owns_pool_) {
-    return Status::InvalidArgument(
-        "Terminate() on an adopted pool: the layer that measured these "
-        "instances owns their lifetime");
   }
   std::vector<bool> used(allocated_.size(), false);
   for (const net::Instance& inst : keep.placement) {

@@ -1,6 +1,6 @@
 // The staged deployment-tuning session: paper Fig. 3's pipeline
 // (allocate -> measure -> search -> terminate) with every stage exposed as
-// an explicit, resumable step.
+// an explicit, resumable step, plus the search step on its own.
 //
 // The expensive step of a real ClouDiA run is the measurement -- minutes of
 // wall time on the tenant's bill -- while searching is comparatively cheap
@@ -23,6 +23,11 @@
 //     // solve->cost_ms, solve->placement, solve->predicted_improvement ...
 //   }
 //   auto terminated = session.Terminate();          // keeps the best plan
+//
+// The search step itself is SolveOnPool(): the application on a measured
+// pool and its cost matrix. DeploymentSession::Solve() calls it on its own
+// pool; callers that hold a pool measured elsewhere (service::AdvisorService
+// on a cached matrix, cloudia_cli on a saved one) call it directly.
 #ifndef CLOUDIA_CLOUDIA_SESSION_H_
 #define CLOUDIA_CLOUDIA_SESSION_H_
 
@@ -113,19 +118,20 @@ struct SolveSpec : deploy::NdpSolveOptions {
   std::shared_ptr<deploy::SharedIncumbent> shared_incumbent;
 };
 
-/// Outcome of one Solve() call, kept in the session history.
+/// Outcome of one SolveOnPool() call; a session keeps each of its own in
+/// its history.
 struct SessionSolve {
   /// Canonical registry name of the solver that ran ("cp", ...).
   std::string method;
   deploy::ObjectiveSpec objective;
-  /// Raw solver output (deployment indexes into allocated(), trace, ...).
+  /// Raw solver output (deployment indexes into the pool, trace, ...).
   deploy::NdpSolveResult result;
   /// Wall-clock time the solver ran (s).
   double wall_s = 0.0;
 
   /// Deployment costs under the measured cost matrix (ms).
   double cost_ms = 0.0;
-  /// Cost of the baseline plan (node i on allocated()[i]).
+  /// Cost of the baseline plan (node i on pool[i]).
   double default_cost_ms = 0.0;
   /// (default - optimized) / default; the headline Fig. 12 quantity is the
   /// analogous reduction in application runtime.
@@ -135,15 +141,24 @@ struct SessionSolve {
   std::vector<net::Instance> placement;
 };
 
+/// The search step of paper Fig. 3: places `app` on `pool`, whose measured
+/// pairwise costs are `costs` (row i is pool[i]), with the registered solver
+/// spec.method. `spec.app` is not read: the graph is `app`, and it must fit
+/// the pool. With a tracer on `obs`, the solve emits a
+/// "session.solve.<method>" span under obs.parent and reports incumbent
+/// events through its SolveContext. Reads but never copies the pool or the
+/// matrix, so callers may share one measurement across concurrent solves.
+Result<SessionSolve> SolveOnPool(const graph::CommGraph& app,
+                                 const std::vector<net::Instance>& pool,
+                                 const deploy::CostMatrix& costs,
+                                 const SolveSpec& spec,
+                                 const obs::ObsConfig& obs = {});
+
 /// A deployment-tuning session against one cloud. Stages run in order
 /// (Allocate -> Measure -> Solve* -> Terminate); calling a stage implicitly
 /// runs any missing predecessor, so `session.Solve(spec)` on a fresh session
 /// allocates and measures first. Holds non-owning pointers to the cloud and
-/// the application graph; both must outlive the session.
-///
-/// `cloud` may be null for a session fed via AdoptMeasurement() (it never
-/// allocates or terminates instances itself); the stages that need the cloud
-/// then fail with InvalidArgument instead of crashing.
+/// the application graph; both must be non-null and outlive the session.
 class DeploymentSession {
  public:
   DeploymentSession(net::CloudSimulator* cloud, const graph::CommGraph* app,
@@ -159,28 +174,11 @@ class DeploymentSession {
   /// with Status::Cancelled when options().cancel is tripped mid-measure.
   Status Measure();
 
-  /// Installs an externally obtained measurement -- the allocated pool and
-  /// its measured cost matrix -- marking the Allocate and Measure stages
-  /// done. This is the reuse hook for layers that cache matrices across
-  /// sessions (service::AdvisorService measures an environment once and
-  /// hands the matrix to every session solving on it). The session does not
-  /// own the adopted instances: Terminate() is an error on such a session.
-  ///
-  /// A session that already adopted may adopt again: the redeployment path
-  /// refreshes an environment's matrix when the network drifts, and
-  /// re-adopting lets the same session re-solve against the fresh costs
-  /// (its solve history is kept; later solves simply see the new matrix).
-  /// Fails when the session allocated or measured its *own* pool (replacing
-  /// an owned pool would leak the instances) or when the matrix size does
-  /// not match the instance count.
-  Status AdoptMeasurement(std::vector<net::Instance> instances,
-                          deploy::CostMatrix costs,
-                          double measure_virtual_s = 0.0);
-
-  /// Searches a deployment with the named registered solver against the
-  /// cached cost matrix. Measures (and allocates) first if needed. Any
-  /// number of calls; each outcome is appended to solves(). Error after
-  /// Terminate() (the extra instances are gone).
+  /// SolveOnPool() on the allocated pool and its cached cost matrix, for
+  /// spec.app or, when that is null, the session's graph. Measures (and
+  /// allocates) first if needed. Any number of calls; each outcome is
+  /// appended to solves(). Error after Terminate() (the extra instances are
+  /// gone).
   Result<SessionSolve> Solve(const SolveSpec& spec);
 
   /// Terminates every instance not used by `keep` and returns them. The
@@ -218,9 +216,6 @@ class DeploymentSession {
   bool allocated_done_ = false;
   bool measured_done_ = false;
   bool terminated_done_ = false;
-  /// False after AdoptMeasurement(): the pool belongs to whoever measured it,
-  /// so this session must not terminate instances.
-  bool owns_pool_ = true;
 
   std::vector<net::Instance> allocated_;
   deploy::CostMatrix costs_;

@@ -6,8 +6,13 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
+#include <cstdlib>
 #include <thread>
 #include <utility>
+
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 #include "common/check.h"
 #include "common/timer.h"
@@ -73,73 +78,84 @@ struct Job {
   std::vector<std::shared_ptr<RequestState>> attached;  // guarded by mu
 };
 
-// Per-Submit() state behind a RequestHandle. Completion is write-once.
-struct RequestState {
+// Write-once completion behind a handle: the first Complete() wins and
+// wakes every waiter; later calls are no-ops. Derived::OnComplete(result)
+// runs under the lock before `done` is published, so a caller woken by
+// Wait() already sees its request in the service stats.
+template <typename Derived, typename T>
+class Completion {
+ public:
+  /// Returns whether this call resolved the request.
+  bool Complete(T r) {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (done_) return false;
+      static_cast<Derived*>(this)->OnComplete(r);
+      result_ = std::move(r);
+      done_ = true;
+    }
+    cv_.notify_all();
+    return true;
+  }
+  const T& Wait() const {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] { return done_; });
+    return result_;
+  }
+  bool WaitFor(double seconds) const {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, std::chrono::duration<double>(seconds),
+                        [this] { return done_; });
+  }
+  bool Done() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return done_;
+  }
+
+ private:
+  mutable std::mutex mu_;
+  mutable std::condition_variable cv_;
+  bool done_ = false;  // guarded by mu_
+  T result_;           // guarded by mu_; immutable once done_
+};
+
+// Per-Submit() state behind a RequestHandle.
+struct RequestState : Completion<RequestState, ServiceResult> {
   CancelToken cancel;
   bool coalesced = false;
   Stopwatch submitted;
   std::shared_ptr<Job> job;          // null for requests rejected at submit
   std::shared_ptr<StatsCell> stats;  // outcome counters outlive the service
 
-  mutable std::mutex mu;
-  mutable std::condition_variable cv;
-  bool done = false;
-  ServiceResult result;
-
-  /// First completion wins; later calls are no-ops. Returns whether this
-  /// call resolved the request, and counts the outcome exactly once.
-  bool Complete(ServiceResult r) {
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      if (done) return false;
-      // Count the outcome before publishing `done`, so a caller woken by
-      // Wait() already sees its request in the service stats.
-      switch (r.status.code()) {
-        case StatusCode::kOk:
-          stats->completed.Add();
-          break;
-        case StatusCode::kCancelled:
-          stats->cancelled.Add();
-          break;
-        case StatusCode::kTimeout:
-          stats->deadline_miss.Add();
-          break;
-        default:
-          stats->failed.Add();
-          break;
-      }
-      result = std::move(r);
-      done = true;
+  /// Counts the outcome, exactly once per request.
+  void OnComplete(const ServiceResult& r) {
+    switch (r.status.code()) {
+      case StatusCode::kOk:
+        stats->completed.Add();
+        break;
+      case StatusCode::kCancelled:
+        stats->cancelled.Add();
+        break;
+      case StatusCode::kTimeout:
+        stats->deadline_miss.Add();
+        break;
+      default:
+        stats->failed.Add();
+        break;
     }
-    cv.notify_all();
-    return true;
   }
 };
 
-// Per-SubmitRedeploy() state behind a RedeployHandle; completion is
-// write-once, mirroring RequestState.
-struct RedeployState {
+// Per-SubmitRedeploy() state behind a RedeployHandle.
+struct RedeployState : Completion<RedeployState, RedeployResult> {
   RedeployRequest request;
   CancelToken cancel;
   Stopwatch submitted;
   std::shared_ptr<StatsCell> stats;
 
-  mutable std::mutex mu;
-  mutable std::condition_variable cv;
-  bool done = false;
-  RedeployResult result;
-
-  bool Complete(RedeployResult r) {
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      if (done) return false;
-      if (r.status.ok() && r.drift_detected) stats->redeploys_drifted.Add();
-      r.total_s = submitted.ElapsedSeconds();
-      result = std::move(r);
-      done = true;
-    }
-    cv.notify_all();
-    return true;
+  void OnComplete(RedeployResult& r) {
+    if (r.status.ok() && r.drift_detected) stats->redeploys_drifted.Add();
+    r.total_s = submitted.ElapsedSeconds();
   }
 };
 
@@ -184,6 +200,31 @@ std::string GraphFingerprint(const graph::CommGraph* app) {
   return fp;
 }
 
+// Workers free blocks of up to a few MB (a measurement's link table, the
+// dual simplex's basis inverse). glibc raises its mmap threshold to the
+// largest mapped block freed so far, and the trim threshold to twice that,
+// so after the first measurement such blocks are carved from the workers'
+// arenas; whether their pages then go back to the system depends on which
+// worker freed what and when: advbench's warm_solve stream peaked at 18 or
+// 23 MB resident from one run to the next (4-core VM). Pinning both at
+// glibc's defaults keeps large blocks in their own mappings, unmapped on
+// free, so the resident size follows the live data. A process that sets
+// malloc parameters through the environment keeps them.
+void PinMallocThresholds() {
+#if defined(__GLIBC__)
+  static const bool pinned = [] {
+    for (const char* var : {"MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_",
+                            "GLIBC_TUNABLES"}) {
+      if (std::getenv(var) != nullptr) return false;
+    }
+    constexpr int kGlibcDefault = 128 * 1024;
+    return mallopt(M_MMAP_THRESHOLD, kGlibcDefault) == 1 &&
+           mallopt(M_TRIM_THRESHOLD, kGlibcDefault) == 1;
+  }();
+  (void)pinned;
+#endif
+}
+
 }  // namespace
 
 const char* RequestStageName(RequestStage stage) {
@@ -205,29 +246,17 @@ const char* RequestStageName(RequestStage stage) {
 RequestHandle::RequestHandle(std::shared_ptr<internal::RequestState> state)
     : state_(std::move(state)) {}
 
-const ServiceResult& RequestHandle::Wait() const {
-  std::unique_lock<std::mutex> lock(state_->mu);
-  state_->cv.wait(lock, [this] { return state_->done; });
-  return state_->result;
-}
+const ServiceResult& RequestHandle::Wait() const { return state_->Wait(); }
 
 bool RequestHandle::WaitFor(double seconds) const {
-  std::unique_lock<std::mutex> lock(state_->mu);
-  return state_->cv.wait_for(lock, std::chrono::duration<double>(seconds),
-                             [this] { return state_->done; });
+  return state_->WaitFor(seconds);
 }
 
-bool RequestHandle::done() const {
-  std::lock_guard<std::mutex> lock(state_->mu);
-  return state_->done;
-}
+bool RequestHandle::done() const { return state_->Done(); }
 
 RequestProgress RequestHandle::progress() const {
   RequestProgress p;
-  {
-    std::lock_guard<std::mutex> lock(state_->mu);
-    if (state_->done) p.stage = RequestStage::kDone;
-  }
+  if (state_->Done()) p.stage = RequestStage::kDone;
   const std::shared_ptr<Job>& job = state_->job;
   if (job != nullptr) {
     if (p.stage != RequestStage::kDone) {
@@ -268,22 +297,13 @@ void RequestHandle::Cancel() const {
 RedeployHandle::RedeployHandle(std::shared_ptr<internal::RedeployState> state)
     : state_(std::move(state)) {}
 
-const RedeployResult& RedeployHandle::Wait() const {
-  std::unique_lock<std::mutex> lock(state_->mu);
-  state_->cv.wait(lock, [this] { return state_->done; });
-  return state_->result;
-}
+const RedeployResult& RedeployHandle::Wait() const { return state_->Wait(); }
 
 bool RedeployHandle::WaitFor(double seconds) const {
-  std::unique_lock<std::mutex> lock(state_->mu);
-  return state_->cv.wait_for(lock, std::chrono::duration<double>(seconds),
-                             [this] { return state_->done; });
+  return state_->WaitFor(seconds);
 }
 
-bool RedeployHandle::done() const {
-  std::lock_guard<std::mutex> lock(state_->mu);
-  return state_->done;
-}
+bool RedeployHandle::done() const { return state_->Done(); }
 
 void RedeployHandle::Cancel() const {
   state_->cancel.Cancel();
@@ -309,6 +329,7 @@ AdvisorService::AdvisorService(Options options)
         return copts;
       }()),
       paused_(options_.start_paused) {
+  PinMallocThresholds();
   threads_ = options_.threads > 0
                  ? options_.threads
                  : static_cast<int>(std::thread::hardware_concurrency());
@@ -500,11 +521,6 @@ void AdvisorService::ExecuteRedeploy(
     }
     policy = it->second;
   }
-  // One objective end to end: the request's declared objective governs the
-  // baseline solve, every migration plan, and all reported costs -- a
-  // policy's planner default must never silently plan for an objective the
-  // tenant did not ask for.
-  policy.planner.objective = req.solve.objective;
   if (req.app->num_nodes() > req.environment.instances) {
     fail(Status::InvalidArgument(
         "application graph needs " + std::to_string(req.app->num_nodes()) +
@@ -523,6 +539,19 @@ void AdvisorService::ExecuteRedeploy(
     return;
   }
   const CostMatrixCache::EntryPtr env = lookup->entry;
+
+  // One objective end to end: the request's declared objective, priced once
+  // from the environment's provider and pool, governs the baseline solve,
+  // every migration plan, and all reported costs -- a policy's planner
+  // default must never silently plan for an objective the tenant did not
+  // ask for.
+  policy.planner.objective = req.solve.objective;
+  Status priced = FillInstancePrices(req.environment.provider, env->instances,
+                                     &policy.planner.objective);
+  if (!priced.ok()) {
+    fail(priced);
+    return;
+  }
 
   // Rebuild the environment's simulator: the latency model is a pure
   // function of (profile, seed), so the cached pool probes the same network
@@ -559,24 +588,16 @@ void AdvisorService::ExecuteRedeploy(
   // cached matrix (the same path a deployment request takes).
   deploy::Deployment initial = req.current;
   if (initial.empty()) {
-    cloudia::SessionOptions session_options;
-    session_options.obs = options_.obs.Under(redeploy_span.id());
-    cloudia::DeploymentSession session(/*cloud=*/nullptr, req.app,
-                                       std::move(session_options));
-    Status adopted = session.AdoptMeasurement(env->instances, env->costs,
-                                              env->measure_virtual_s);
-    if (!adopted.ok()) {
-      fail(adopted);
-      return;
-    }
     cloudia::SolveSpec spec = req.solve;
-    spec.app = nullptr;
+    spec.objective = policy.planner.objective;
     spec.cancel = state->cancel;
     spec.threads = 1;  // redeploy advice must be deterministic
     if (spec.method.empty() || EqualsIgnoreCase(spec.method, "auto")) {
       spec.method = options_.default_method;
     }
-    Result<cloudia::SessionSolve> solve = session.Solve(spec);
+    Result<cloudia::SessionSolve> solve =
+        cloudia::SolveOnPool(*req.app, env->instances, env->costs, spec,
+                             options_.obs.Under(redeploy_span.id()));
     if (!solve.ok()) {
       fail(solve.status());
       return;
@@ -780,23 +801,9 @@ void AdvisorService::ExecuteJob(const std::shared_ptr<Job>& job) {
     return;
   }
 
-  // -- Stage 2: solve on a session that adopts the shared measurement --------
+  // -- Stage 2: solve on the cached pool and matrix, shared in place ---------
   job->stage.store(static_cast<int>(RequestStage::kSolving));
-  cloudia::SessionOptions session_options;
-  session_options.obs = options_.obs.Under(job_span.id());
-  cloudia::DeploymentSession session(/*cloud=*/nullptr, job->request.app,
-                                     std::move(session_options));
-  Status adopted = session.AdoptMeasurement(env->instances, env->costs,
-                                            env->measure_virtual_s);
-  if (!adopted.ok()) {
-    ServiceResult r;
-    r.status = adopted;
-    complete_all(std::move(r));
-    return;
-  }
-
   cloudia::SolveSpec spec = job->request.solve;
-  spec.app = nullptr;  // the session already solves for request.app
   spec.cancel = job->job_cancel;
   // A priced objective without explicit per-instance prices gets them from
   // the environment's provider price model.
@@ -872,7 +879,9 @@ void AdvisorService::ExecuteJob(const std::shared_ptr<Job>& job) {
   }
 
   Stopwatch solve_watch;
-  Result<cloudia::SessionSolve> solve = session.Solve(spec);
+  Result<cloudia::SessionSolve> solve =
+      cloudia::SolveOnPool(*job->request.app, env->instances, env->costs, spec,
+                           options_.obs.Under(job_span.id()));
   stats_->registry->histogram("service.solve.time_s" + priority_suffix)
       .Observe(solve_watch.ElapsedSeconds());
 

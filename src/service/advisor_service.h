@@ -1,5 +1,5 @@
-// AdvisorService: a concurrent, multi-tenant front end over the staged
-// cloudia::DeploymentSession.
+// AdvisorService: a concurrent, multi-tenant front end over paper Fig. 3's
+// measure and search steps.
 //
 // The service accepts many asynchronous DeploymentRequests and schedules them
 // across a machine-wide worker pool, exploiting the paper's cost structure
@@ -7,7 +7,9 @@
 // cheap -- Sect. 6.2, Fig. 7) three ways:
 //
 //   1. CostMatrixCache: requests against the same environment share one
-//      measurement (TTL/LRU + single-flight; see cost_matrix_cache.h).
+//      measurement (TTL/LRU + single-flight; see cost_matrix_cache.h), and
+//      every solve runs cloudia::SolveOnPool() on the cached pool and matrix
+//      in place, without copying them.
 //   2. Priority scheduling + request coalescing: jobs run highest priority
 //      first (earlier deadline, then FIFO, as tie-breaks); byte-identical
 //      requests in flight are coalesced onto one solve whose result every
@@ -270,9 +272,9 @@ class AdvisorService {
     /// over those counters. Without `obs.metrics` the service counts into a
     /// private registry, which sessions and redeploy loops never see; two
     /// services sharing one registry report summed counts. With a tracer,
-    /// every job emits a "service.job" span with the session stage spans
-    /// and the job's own measurement ("measure.run") nested under it. Both
-    /// sinks must outlive the service.
+    /// every job emits a "service.job" span with its solve
+    /// ("session.solve.<method>") and its own measurement ("measure.run")
+    /// nested under it. Both sinks must outlive the service.
     obs::ObsConfig obs;
   };
 

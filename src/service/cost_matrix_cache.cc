@@ -81,12 +81,6 @@ void CostMatrixCache::Install(const std::string& key, EntryPtr entry) {
   entries_[key] = std::move(cached);
 }
 
-Result<CostMatrixCache::EntryPtr> CostMatrixCache::GetOrMeasure(
-    const EnvironmentSpec& spec, CancelToken cancel) {
-  CLOUDIA_ASSIGN_OR_RETURN(Lookup lookup, Get(spec, std::move(cancel)));
-  return std::move(lookup.entry);
-}
-
 Result<CostMatrixCache::Lookup> CostMatrixCache::Get(
     const EnvironmentSpec& spec, CancelToken cancel,
     const obs::ObsConfig& obs) {

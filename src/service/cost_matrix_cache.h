@@ -5,7 +5,7 @@
 // cheap and worth repeating. This cache is the measure-once/solve-many
 // design scaled to a multi-tenant service:
 //
-//   * GetOrMeasure() returns a shared, immutable MeasuredEnvironment for an
+//   * Get() returns a shared, immutable MeasuredEnvironment for an
 //     EnvironmentSpec, measuring at most once per key no matter how many
 //     threads ask concurrently (single-flight): the first caller measures,
 //     the rest wait on the same in-flight entry and share its result.
@@ -83,16 +83,12 @@ class CostMatrixCache {
   explicit CostMatrixCache(Options options);
 
   /// Returns the measured environment for `spec`, measuring (once, globally,
-  /// per key) if no valid entry exists. Blocks while an in-flight
-  /// measurement for the key runs. Returns Status::Cancelled when `cancel`
-  /// trips before the result is available; the underlying measurement is
-  /// aborted only once every interested caller has cancelled.
-  Result<EntryPtr> GetOrMeasure(const EnvironmentSpec& spec,
-                                CancelToken cancel = {});
-
-  /// Like GetOrMeasure, plus telemetry about how this call was served. A
-  /// measurement this call leads puts its "measure.run" span on `obs`
-  /// (the test hook measure_fn takes none).
+  /// per key) if no valid entry exists, plus telemetry about how this call
+  /// was served. Blocks while an in-flight measurement for the key runs.
+  /// Returns Status::Cancelled when `cancel` trips before the result is
+  /// available; the underlying measurement is aborted only once every
+  /// interested caller has cancelled. A measurement this call leads puts its
+  /// "measure.run" span on `obs` (the test hook measure_fn takes none).
   struct Lookup {
     EntryPtr entry;
     bool hit = false;     ///< served from a completed entry, nothing waited

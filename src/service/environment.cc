@@ -48,11 +48,6 @@ Status FillInstancePrices(std::string_view provider,
 }
 
 Result<MeasuredEnvironment> MeasureEnvironment(const EnvironmentSpec& spec,
-                                               const CancelToken& cancel) {
-  return MeasureEnvironment(spec, cancel, {});
-}
-
-Result<MeasuredEnvironment> MeasureEnvironment(const EnvironmentSpec& spec,
                                                const CancelToken& cancel,
                                                const obs::ObsConfig& obs) {
   if (spec.instances < 2) {

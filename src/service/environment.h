@@ -80,14 +80,11 @@ Status FillInstancePrices(std::string_view provider,
 /// measures them through measure::MeasureCostMatrix. Deterministic: equal
 /// specs produce bit-identical matrices, matching what a
 /// cloudia::DeploymentSession with the same options would have measured.
-/// `cancel` aborts the measurement mid-flight with Status::Cancelled.
+/// `cancel` aborts the measurement mid-flight with Status::Cancelled; the
+/// measurement's "measure.run" span goes on `obs`.
 Result<MeasuredEnvironment> MeasureEnvironment(const EnvironmentSpec& spec,
-                                               const CancelToken& cancel = {});
-
-/// The same, with the measurement's "measure.run" span on `obs`.
-Result<MeasuredEnvironment> MeasureEnvironment(const EnvironmentSpec& spec,
-                                               const CancelToken& cancel,
-                                               const obs::ObsConfig& obs);
+                                               const CancelToken& cancel = {},
+                                               const obs::ObsConfig& obs = {});
 
 }  // namespace cloudia::service
 

@@ -534,8 +534,8 @@ TEST(AdvisorServiceTest, SingleThreadedServiceIsDeterministic) {
 
 TEST(AdvisorServiceTest, ServiceMatrixMatchesSessionMeasurement) {
   // The service's measurement path must stay bit-identical to a
-  // DeploymentSession measuring the same environment -- AdoptMeasurement
-  // consumers rely on interchangeable matrices.
+  // DeploymentSession measuring the same environment: a service answer and
+  // a session answer come from the same SolveOnPool on the same matrix.
   EnvironmentSpec env = TinyEnv(/*seed=*/5, /*instances=*/13);
   auto measured = MeasureEnvironment(env);
   ASSERT_TRUE(measured.ok());

@@ -82,25 +82,25 @@ TEST(CostMatrixCacheTest, HitMissAndLruEviction) {
   options.measure_fn = FakeMeasure;
   CostMatrixCache cache(options);
 
-  auto a1 = cache.GetOrMeasure(TinyEnv(1));
-  auto b1 = cache.GetOrMeasure(TinyEnv(2));
+  auto a1 = cache.Get(TinyEnv(1));
+  auto b1 = cache.Get(TinyEnv(2));
   ASSERT_TRUE(a1.ok());
   ASSERT_TRUE(b1.ok());
   // Second lookup of A: a hit, same shared entry.
-  auto a2 = cache.GetOrMeasure(TinyEnv(1));
+  auto a2 = cache.Get(TinyEnv(1));
   ASSERT_TRUE(a2.ok());
-  EXPECT_EQ(a1->get(), a2->get());
+  EXPECT_EQ(a1->entry.get(), a2->entry.get());
   EXPECT_EQ(cache.stats().hits, 1u);
   EXPECT_EQ(cache.stats().measurements, 2u);
   EXPECT_EQ(cache.size(), 2u);
 
   // C evicts the least-recently-used entry, which is B (A was just touched).
-  ASSERT_TRUE(cache.GetOrMeasure(TinyEnv(3)).ok());
+  ASSERT_TRUE(cache.Get(TinyEnv(3)).ok());
   EXPECT_EQ(cache.stats().evictions, 1u);
   EXPECT_EQ(cache.size(), 2u);
-  ASSERT_TRUE(cache.GetOrMeasure(TinyEnv(1)).ok());  // still cached
+  ASSERT_TRUE(cache.Get(TinyEnv(1)).ok());  // still cached
   EXPECT_EQ(cache.stats().hits, 2u);
-  ASSERT_TRUE(cache.GetOrMeasure(TinyEnv(2)).ok());  // evicted: re-measures
+  ASSERT_TRUE(cache.Get(TinyEnv(2)).ok());  // evicted: re-measures
   EXPECT_EQ(cache.stats().measurements, 4u);
 }
 
@@ -112,12 +112,12 @@ TEST(CostMatrixCacheTest, TtlExpiresEntries) {
   options.now_fn = [&fake_now] { return fake_now; };
   CostMatrixCache cache(options);
 
-  ASSERT_TRUE(cache.GetOrMeasure(TinyEnv()).ok());
+  ASSERT_TRUE(cache.Get(TinyEnv()).ok());
   fake_now = 9.0;
-  ASSERT_TRUE(cache.GetOrMeasure(TinyEnv()).ok());
+  ASSERT_TRUE(cache.Get(TinyEnv()).ok());
   EXPECT_EQ(cache.stats().hits, 1u);
   fake_now = 11.0;  // past the TTL: the entry re-measures
-  ASSERT_TRUE(cache.GetOrMeasure(TinyEnv()).ok());
+  ASSERT_TRUE(cache.Get(TinyEnv()).ok());
   EXPECT_EQ(cache.stats().expirations, 1u);
   EXPECT_EQ(cache.stats().measurements, 2u);
 }
@@ -133,13 +133,13 @@ TEST(CostMatrixCacheTest, LongIdleCacheNeverServesAStaleMatrix) {
   options.now_fn = [&fake_now] { return fake_now; };
   CostMatrixCache cache(options);
 
-  ASSERT_TRUE(cache.GetOrMeasure(TinyEnv(1)).ok());
-  ASSERT_TRUE(cache.GetOrMeasure(TinyEnv(2)).ok());
+  ASSERT_TRUE(cache.Get(TinyEnv(1)).ok());
+  ASSERT_TRUE(cache.Get(TinyEnv(2)).ok());
   EXPECT_EQ(cache.size(), 2u);
 
   fake_now = 1000.0;  // long idle: no inserts, no lookups, TTLs long gone
   EXPECT_EQ(cache.size(), 0u) << "expired entries reported as cached";
-  auto after = cache.GetOrMeasure(TinyEnv(1));
+  auto after = cache.Get(TinyEnv(1));
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(cache.stats().measurements, 3u) << "stale entry served as a hit";
   EXPECT_EQ(cache.stats().hits, 0u);
@@ -157,10 +157,10 @@ TEST(CostMatrixCacheTest, InsertSweepsExpiredEntriesOfOtherKeys) {
   options.now_fn = [&fake_now] { return fake_now; };
   CostMatrixCache cache(options);
 
-  ASSERT_TRUE(cache.GetOrMeasure(TinyEnv(1)).ok());
-  ASSERT_TRUE(cache.GetOrMeasure(TinyEnv(2)).ok());
+  ASSERT_TRUE(cache.Get(TinyEnv(1)).ok());
+  ASSERT_TRUE(cache.Get(TinyEnv(2)).ok());
   fake_now = 11.0;  // both expire
-  ASSERT_TRUE(cache.GetOrMeasure(TinyEnv(3)).ok());  // insert sweeps 1 and 2
+  ASSERT_TRUE(cache.Get(TinyEnv(3)).ok());  // insert sweeps 1 and 2
   EXPECT_EQ(cache.stats().expirations, 2u);
   EXPECT_EQ(cache.size(), 1u);
   EXPECT_EQ(cache.stats().evictions, 0u)
@@ -173,7 +173,7 @@ TEST(CostMatrixCacheTest, PutRefreshesAnExistingEntryInPlace) {
   options.measure_fn = FakeMeasure;
   CostMatrixCache cache(options);
 
-  auto stale = cache.GetOrMeasure(TinyEnv(1));
+  auto stale = cache.Get(TinyEnv(1));
   ASSERT_TRUE(stale.ok());
 
   // The redeployment path re-measured the environment: feed the fresh
@@ -190,9 +190,9 @@ TEST(CostMatrixCacheTest, PutRefreshesAnExistingEntryInPlace) {
   EXPECT_EQ(cache.size(), 1u) << "Put must replace, not duplicate";
   EXPECT_EQ(cache.stats().refreshes, 1u);
 
-  auto fresh = cache.GetOrMeasure(TinyEnv(1));
+  auto fresh = cache.Get(TinyEnv(1));
   ASSERT_TRUE(fresh.ok());
-  EXPECT_EQ((*fresh)->costs, refreshed_costs);
+  EXPECT_EQ(fresh->entry->costs, refreshed_costs);
   EXPECT_EQ(cache.stats().measurements, 1u) << "refresh must not re-measure";
 
   // Put on a cold key simply installs it (with LRU accounting).
@@ -200,7 +200,7 @@ TEST(CostMatrixCacheTest, PutRefreshesAnExistingEntryInPlace) {
   ASSERT_TRUE(cold.ok());
   cache.Put(std::move(cold).value());
   EXPECT_EQ(cache.size(), 2u);
-  ASSERT_TRUE(cache.GetOrMeasure(TinyEnv(5)).ok());
+  ASSERT_TRUE(cache.Get(TinyEnv(5)).ok());
   EXPECT_EQ(cache.stats().measurements, 1u);
 }
 
@@ -220,9 +220,9 @@ TEST(CostMatrixCacheTest, SingleFlightCoalescesConcurrentMeasurements) {
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&cache, &entries, t] {
-      auto entry = cache.GetOrMeasure(TinyEnv());
+      auto entry = cache.Get(TinyEnv());
       ASSERT_TRUE(entry.ok()) << entry.status().ToString();
-      entries[static_cast<size_t>(t)] = *entry;
+      entries[static_cast<size_t>(t)] = entry->entry;
     });
   }
   for (std::thread& t : threads) t.join();
@@ -250,18 +250,18 @@ TEST(CostMatrixCacheTest, FollowerCancellationDoesNotAbortTheMeasurement) {
   };
   CostMatrixCache cache(options);
 
-  Result<CostMatrixCache::EntryPtr> leader_result =
+  Result<CostMatrixCache::Lookup> leader_result =
       Status::Internal("not run");
   std::thread leader([&cache, &leader_result] {
-    leader_result = cache.GetOrMeasure(TinyEnv());  // never cancelled
+    leader_result = cache.Get(TinyEnv());  // never cancelled
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
 
   CancelToken follower_token;
-  Result<CostMatrixCache::EntryPtr> follower_result =
+  Result<CostMatrixCache::Lookup> follower_result =
       Status::Internal("not run");
   std::thread follower([&cache, &follower_token, &follower_result] {
-    follower_result = cache.GetOrMeasure(TinyEnv(), follower_token);
+    follower_result = cache.Get(TinyEnv(), follower_token);
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
 
@@ -278,7 +278,7 @@ TEST(CostMatrixCacheTest, FollowerCancellationDoesNotAbortTheMeasurement) {
   }
   EXPECT_EQ(measure_calls.load(), 1);
   // The completed entry is cached despite the follower's cancellation.
-  ASSERT_TRUE(cache.GetOrMeasure(TinyEnv()).ok());
+  ASSERT_TRUE(cache.Get(TinyEnv()).ok());
   EXPECT_EQ(measure_calls.load(), 1);
 }
 
@@ -302,15 +302,15 @@ TEST(CostMatrixCacheTest, FollowerRetriesWhenLeaderCancels) {
 
   CancelToken leader_token;
   std::thread leader([&cache, &leader_token] {
-    auto r = cache.GetOrMeasure(TinyEnv(), leader_token);
+    auto r = cache.Get(TinyEnv(), leader_token);
     EXPECT_FALSE(r.ok());
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
 
-  Result<CostMatrixCache::EntryPtr> follower_result =
+  Result<CostMatrixCache::Lookup> follower_result =
       Status::Internal("not run");
   std::thread follower([&cache, &follower_result] {
-    follower_result = cache.GetOrMeasure(TinyEnv());  // never cancelled
+    follower_result = cache.Get(TinyEnv());  // never cancelled
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
 
@@ -329,18 +329,18 @@ TEST(CostMatrixCacheTest, CachedMatrixSolvesIdenticallyToFreshMeasurement) {
   // the same environment (real measurement path, single-threaded solver).
   EnvironmentSpec env = TinyEnv(/*seed=*/11, /*instances=*/12);
   CostMatrixCache cache;  // real MeasureEnvironment
-  auto cached = cache.GetOrMeasure(env);
+  auto cached = cache.Get(env);
   ASSERT_TRUE(cached.ok()) << cached.status().ToString();
   auto fresh = MeasureEnvironment(env);
   ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
-  ASSERT_EQ((*cached)->costs, fresh->costs);
+  ASSERT_EQ(cached->entry->costs, fresh->costs);
 
   graph::CommGraph app = graph::Mesh2D(2, 5);
   deploy::NdpSolveOptions opts;
   opts.seed = 5;
   opts.threads = 1;
   deploy::SolveContext context_a(Deadline::After(1.0));
-  auto a = deploy::SolveNodeDeploymentByName(app, (*cached)->costs, "local",
+  auto a = deploy::SolveNodeDeploymentByName(app, cached->entry->costs, "local",
                                              opts, context_a);
   deploy::SolveContext context_b(Deadline::After(1.0));
   auto b = deploy::SolveNodeDeploymentByName(app, fresh->costs, "local", opts,
@@ -363,24 +363,24 @@ TEST(CostMatrixCacheTest, MeasurementErrorsPropagateAndAreNotCached) {
     return FakeMeasure(spec, cancel);
   };
   CostMatrixCache cache(options);
-  auto first = cache.GetOrMeasure(TinyEnv());
+  auto first = cache.Get(TinyEnv());
   ASSERT_FALSE(first.ok());
   EXPECT_EQ(first.status().code(), StatusCode::kInternal);
   EXPECT_EQ(cache.size(), 0u);
   // Errors are not negative-cached: the next caller retries.
-  ASSERT_TRUE(cache.GetOrMeasure(TinyEnv()).ok());
+  ASSERT_TRUE(cache.Get(TinyEnv()).ok());
 }
 
 TEST(CostMatrixCacheTest, ClearDropsCompletedEntries) {
   CostMatrixCache::Options options;
   options.measure_fn = FakeMeasure;
   CostMatrixCache cache(options);
-  ASSERT_TRUE(cache.GetOrMeasure(TinyEnv(1)).ok());
-  ASSERT_TRUE(cache.GetOrMeasure(TinyEnv(2)).ok());
+  ASSERT_TRUE(cache.Get(TinyEnv(1)).ok());
+  ASSERT_TRUE(cache.Get(TinyEnv(2)).ok());
   EXPECT_EQ(cache.size(), 2u);
   cache.Clear();
   EXPECT_EQ(cache.size(), 0u);
-  ASSERT_TRUE(cache.GetOrMeasure(TinyEnv(1)).ok());
+  ASSERT_TRUE(cache.Get(TinyEnv(1)).ok());
   EXPECT_EQ(cache.stats().measurements, 3u);
 }
 
@@ -406,7 +406,7 @@ TEST(CostMatrixCacheTest, StatsReadsAreCoherentUnderConcurrentMutation) {
     threads.emplace_back([&cache, t] {
       for (int i = 0; i < kOpsPerThread; ++i) {
         // 6 keys over 4 slots: a mix of hits, misses, and evictions.
-        ASSERT_TRUE(cache.GetOrMeasure(TinyEnv(1 + (t + i) % 6)).ok());
+        ASSERT_TRUE(cache.Get(TinyEnv(1 + (t + i) % 6)).ok());
       }
     });
   }

@@ -240,6 +240,49 @@ TEST(RedeployServiceTest, DeterministicAcrossServicesAtOneThread) {
   EXPECT_EQ(a.migrations, b.migrations);
 }
 
+TEST(RedeployServiceTest, PricedObjectiveIsPricedFromTheEnvironment) {
+  // A price weight without explicit prices is priced from the environment's
+  // provider and pool, as on a deployment request; the baseline solve and
+  // every reported cost run under the priced objective.
+  AdvisorService::Options options;
+  options.threads = 1;
+  AdvisorService service(options);
+  graph::CommGraph app = graph::Mesh2D(3, 4);
+  RedeployPolicy policy = AggressivePolicy();
+  policy.checks = 2;
+  service.EnableRedeployment(SmallEnv(), policy);
+
+  RedeployRequest request;
+  request.environment = SmallEnv();
+  request.app = &app;
+  request.solve.method = "g2";
+  request.solve.seed = 5;
+  request.solve.objective.price_weight = 0.5;
+  RedeployHandle handle = service.SubmitRedeploy(request);
+  const RedeployResult& r = handle.Wait();
+  ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+  EXPECT_EQ(r.checks_run, 2);
+
+  // The same baseline, solved directly on the environment's priced pool.
+  auto env = MeasureEnvironment(SmallEnv());
+  ASSERT_TRUE(env.ok());
+  cloudia::SolveSpec spec = request.solve;
+  spec.threads = 1;
+  ASSERT_TRUE(FillInstancePrices("ec2", env->instances, &spec.objective).ok());
+  ASSERT_EQ(spec.objective.instance_prices.size(), env->instances.size());
+  auto baseline =
+      cloudia::SolveOnPool(app, env->instances, env->costs, spec);
+  ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
+  EXPECT_EQ(r.initial_deployment, baseline->result.deployment);
+  EXPECT_EQ(r.initial_cost_ms, baseline->cost_ms);  // bitwise
+
+  // The price term is really in the reported cost.
+  auto latency_only = deploy::CostEvaluator::Create(&app, &env->costs,
+                                                    deploy::ObjectiveSpec());
+  ASSERT_TRUE(latency_only.ok());
+  EXPECT_GT(r.initial_cost_ms, latency_only->Cost(r.initial_deployment));
+}
+
 TEST(RedeployServiceTest, CancelResolvesPromptly) {
   AdvisorService::Options options;
   options.threads = 1;

@@ -263,95 +263,35 @@ TEST(DeploymentSessionTest, CancellationAbortsMeasureMidFlight) {
   EXPECT_FALSE(session.measured_stage_done());
 }
 
-TEST(DeploymentSessionTest, AdoptMeasurementReusesAnotherSessionsMatrix) {
+TEST(DeploymentSessionTest, SolveOnPoolAnswersLikeTheSession) {
   net::CloudSimulator cloud(net::AmazonEc2Profile(), 53);
   graph::CommGraph app = graph::Mesh2D(4, 5);
-  DeploymentSession measured(&cloud, &app, FastOptions());
-  ASSERT_TRUE(measured.Measure().ok());
+  DeploymentSession session(&cloud, &app, FastOptions());
+  ASSERT_TRUE(session.Measure().ok());
 
-  // A cloud-less session adopts the measurement and solves identically.
-  DeploymentSession adopted(/*cloud=*/nullptr, &app, FastOptions());
-  ASSERT_TRUE(adopted
-                  .AdoptMeasurement(measured.allocated(), measured.costs(),
-                                    measured.measure_virtual_s())
-                  .ok());
-  EXPECT_TRUE(adopted.allocated_stage_done());
-  EXPECT_TRUE(adopted.measured_stage_done());
-  EXPECT_EQ(adopted.costs(), measured.costs());
-
+  // The search step on the session's own pool and matrix answers
+  // bit-identically to the session's Solve().
   SolveSpec spec;
   spec.method = "g2";
   spec.seed = 3;
-  auto a = measured.Solve(spec);
-  auto b = adopted.Solve(spec);
+  auto a = session.Solve(spec);
+  auto b = SolveOnPool(app, session.allocated(), session.costs(), spec);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(a->result.deployment, b->result.deployment);
-  EXPECT_DOUBLE_EQ(a->cost_ms, b->cost_ms);
-
-  // The adopted pool belongs to whoever measured it.
-  EXPECT_FALSE(adopted.Terminate().ok());
+  EXPECT_EQ(a->cost_ms, b->cost_ms);  // bitwise
+  EXPECT_EQ(a->default_cost_ms, b->default_cost_ms);
+  ASSERT_EQ(a->placement.size(), b->placement.size());
+  for (size_t i = 0; i < a->placement.size(); ++i) {
+    EXPECT_EQ(a->placement[i].id, b->placement[i].id);
+  }
+  EXPECT_EQ(session.solves().size(), 1u) << "SolveOnPool keeps no history";
 
   // Mismatched matrix/pool sizes fail cleanly.
-  DeploymentSession bad(/*cloud=*/nullptr, &app, FastOptions());
-  EXPECT_FALSE(
-      bad.AdoptMeasurement(measured.allocated(), deploy::CostMatrix(3), 0.0)
-          .ok());
-
-  // A cloud-less session cannot allocate or measure on its own.
-  DeploymentSession no_cloud(/*cloud=*/nullptr, &app, FastOptions());
-  EXPECT_FALSE(no_cloud.Allocate().ok());
-  EXPECT_FALSE(no_cloud.Measure().ok());
-}
-
-TEST(DeploymentSessionTest, ReAdoptionRefreshesTheMatrixInPlace) {
-  // The redeployment re-solve path: when drift monitoring refreshes an
-  // environment's matrix, the same session adopts the fresh costs and keeps
-  // solving -- no new session per refresh.
-  net::CloudSimulator cloud(net::AmazonEc2Profile(), 59);
-  graph::CommGraph app = graph::Mesh2D(4, 5);
-  DeploymentSession measured(&cloud, &app, FastOptions());
-  ASSERT_TRUE(measured.Measure().ok());
-
-  DeploymentSession session(/*cloud=*/nullptr, &app, FastOptions());
-  ASSERT_TRUE(session
-                  .AdoptMeasurement(measured.allocated(), measured.costs(),
-                                    measured.measure_virtual_s())
-                  .ok());
-  SolveSpec spec;
-  spec.method = "g2";
-  spec.seed = 3;
-  auto stale = session.Solve(spec);
-  ASSERT_TRUE(stale.ok());
-
-  // "The network drifted": every link doubled.
-  deploy::CostMatrix refreshed = measured.costs();
-  for (int i = 0; i < refreshed.size(); ++i) {
-    for (int j = 0; j < refreshed.size(); ++j) {
-      if (i != j) refreshed.At(i, j) *= 2.0;
-    }
-  }
-  ASSERT_TRUE(session
-                  .AdoptMeasurement(measured.allocated(), refreshed,
-                                    measured.measure_virtual_s())
-                  .ok());
-  EXPECT_EQ(session.costs(), refreshed);
-  EXPECT_EQ(session.solves().size(), 1u) << "history survives re-adoption";
-
-  auto fresh = session.Solve(spec);
-  ASSERT_TRUE(fresh.ok());
-  EXPECT_EQ(session.solves().size(), 2u);
-  // Same deterministic solver on a uniformly doubled matrix: same plan,
-  // doubled cost -- the re-solve really ran against the fresh matrix.
-  EXPECT_EQ(fresh->result.deployment, stale->result.deployment);
-  EXPECT_DOUBLE_EQ(fresh->cost_ms, 2.0 * stale->cost_ms);
-
-  // Re-adoption still refuses the pools a session owns: the measuring
-  // session allocated its own instances and must keep them.
-  EXPECT_FALSE(measured
-                   .AdoptMeasurement(measured.allocated(), refreshed,
-                                     measured.measure_virtual_s())
-                   .ok());
+  auto mismatched =
+      SolveOnPool(app, session.allocated(), deploy::CostMatrix(3), spec);
+  ASSERT_FALSE(mismatched.ok());
+  EXPECT_EQ(mismatched.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(DeploymentSessionTest, SharedIncumbentCellCarriesSolutionsAcrossSolves) {
@@ -375,28 +315,26 @@ TEST(DeploymentSessionTest, SharedIncumbentCellCarriesSolutionsAcrossSolves) {
   EXPECT_EQ(cell_deployment.size(), 20u);
 }
 
-// -- One solve path: DeploymentSession::Solve hands its SolveSpec to
-// deploy::SolveNodeDeploymentByName as the options, so the session and the
-// facade answer every spec identically.
+// -- One solve path: SolveOnPool hands its SolveSpec to
+// deploy::SolveNodeDeploymentByName as the options, so the search step and
+// the facade answer every spec identically.
 
-// A cloud-less session that adopted a seeded random matrix over `m` instances.
-struct AdoptedSession {
-  AdoptedSession(const graph::CommGraph* app, int m, uint64_t seed)
+// A pool of `m` instances with a seeded random cost matrix.
+struct RandomPool {
+  RandomPool(int m, uint64_t seed)
       : costs([&] {
           Rng rng(seed);
           return deploy::RandomCosts(m, rng);
         }()),
-        session(/*cloud=*/nullptr, app, FastOptions()) {
-    std::vector<net::Instance> pool(static_cast<size_t>(m));
-    for (int i = 0; i < m; ++i) pool[static_cast<size_t>(i)].id = i;
-    CLOUDIA_CHECK(session.AdoptMeasurement(std::move(pool), costs).ok());
+        instances(static_cast<size_t>(m)) {
+    for (int i = 0; i < m; ++i) instances[static_cast<size_t>(i)].id = i;
   }
 
   deploy::CostMatrix costs;
-  DeploymentSession session;
+  std::vector<net::Instance> instances;
 };
 
-// The facade call the session makes for `spec`: same name, same options,
+// The facade call SolveOnPool makes for `spec`: same name, same options,
 // a context with the spec's budget and thread cap.
 Result<deploy::NdpSolveResult> SolveThroughFacade(
     const graph::CommGraph& app, const deploy::CostMatrix& costs,
@@ -409,62 +347,62 @@ Result<deploy::NdpSolveResult> SolveThroughFacade(
 
 TEST(SessionFacadeAgreementTest, FixedWorkSolversMatchTheFacade) {
   graph::CommGraph app = graph::Mesh2D(4, 5);
-  AdoptedSession adopted(&app, 22, 17);
+  RandomPool pool(22, 17);
   for (const char* method : {"g1", "g2", "r1"}) {
     SolveSpec spec;
     spec.method = method;
     spec.seed = 9;
-    auto via_session = adopted.session.Solve(spec);
-    auto via_facade = SolveThroughFacade(app, adopted.costs, spec);
-    ASSERT_TRUE(via_session.ok()) << method << ": "
-                                  << via_session.status().ToString();
+    auto via_pool = SolveOnPool(app, pool.instances, pool.costs, spec);
+    auto via_facade = SolveThroughFacade(app, pool.costs, spec);
+    ASSERT_TRUE(via_pool.ok()) << method << ": "
+                                  << via_pool.status().ToString();
     ASSERT_TRUE(via_facade.ok()) << method << ": "
                                  << via_facade.status().ToString();
-    EXPECT_EQ(via_session->method, method);
-    EXPECT_EQ(via_session->result.deployment, via_facade->deployment)
+    EXPECT_EQ(via_pool->method, method);
+    EXPECT_EQ(via_pool->result.deployment, via_facade->deployment)
         << method;
-    EXPECT_EQ(via_session->cost_ms, via_facade->cost) << method;
+    EXPECT_EQ(via_pool->cost_ms, via_facade->cost) << method;
   }
 }
 
 TEST(SessionFacadeAgreementTest, ExactSolversMatchTheFacadeWhenTheyProve) {
   graph::CommGraph app = graph::Mesh2D(2, 2);  // 4 nodes on 5 instances
-  AdoptedSession adopted(&app, 5, 23);
+  RandomPool pool(5, 23);
   for (const char* method : {"cp", "mip"}) {
     SolveSpec spec;
     spec.method = method;
     spec.time_budget_s = 60.0;
-    auto via_session = adopted.session.Solve(spec);
-    auto via_facade = SolveThroughFacade(app, adopted.costs, spec);
-    ASSERT_TRUE(via_session.ok()) << method << ": "
-                                  << via_session.status().ToString();
+    auto via_pool = SolveOnPool(app, pool.instances, pool.costs, spec);
+    auto via_facade = SolveThroughFacade(app, pool.costs, spec);
+    ASSERT_TRUE(via_pool.ok()) << method << ": "
+                                  << via_pool.status().ToString();
     ASSERT_TRUE(via_facade.ok()) << method << ": "
                                  << via_facade.status().ToString();
-    EXPECT_TRUE(via_session->result.proven_optimal) << method;
+    EXPECT_TRUE(via_pool->result.proven_optimal) << method;
     EXPECT_TRUE(via_facade->proven_optimal) << method;
-    EXPECT_EQ(via_session->result.deployment, via_facade->deployment)
+    EXPECT_EQ(via_pool->result.deployment, via_facade->deployment)
         << method;
-    EXPECT_EQ(via_session->cost_ms, via_facade->cost) << method;
+    EXPECT_EQ(via_pool->cost_ms, via_facade->cost) << method;
   }
 }
 
 TEST(SessionFacadeAgreementTest, SpecKnobsReachTheSolver) {
   graph::CommGraph app = graph::Mesh2D(3, 4);
-  AdoptedSession adopted(&app, 14, 29);
+  RandomPool pool(14, 29);
 
   SolveSpec r1;
   r1.method = "r1";
   r1.r1_samples = 37;
-  auto sampled = adopted.session.Solve(r1);
+  auto sampled = SolveOnPool(app, pool.instances, pool.costs, r1);
   ASSERT_TRUE(sampled.ok()) << sampled.status().ToString();
   EXPECT_EQ(sampled->result.iterations, 37);
 
-  // hier rejects itself as the shard solver; the session reports hier's own
+  // hier rejects itself as the shard solver; SolveOnPool reports hier's own
   // error, as the facade does.
   SolveSpec hier;
   hier.method = "hier";
   hier.hier_shard_solver = "hier";
-  auto recursive = adopted.session.Solve(hier);
+  auto recursive = SolveOnPool(app, pool.instances, pool.costs, hier);
   ASSERT_FALSE(recursive.ok());
   EXPECT_EQ(recursive.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(recursive.status().message().find(
@@ -472,24 +410,31 @@ TEST(SessionFacadeAgreementTest, SpecKnobsReachTheSolver) {
             std::string::npos)
       << recursive.status().ToString();
   EXPECT_EQ(recursive.status().ToString(),
-            SolveThroughFacade(app, adopted.costs, hier).status().ToString());
+            SolveThroughFacade(app, pool.costs, hier).status().ToString());
 }
 
 TEST(SessionFacadeAgreementTest, CpRejectsLongestPathWithTheSameError) {
   graph::CommGraph app = graph::AggregationTree(3, 2);  // 4 nodes, a DAG
-  AdoptedSession adopted(&app, 6, 31);
+  RandomPool pool(6, 31);
   SolveSpec spec;
   spec.method = "cp";
   spec.objective = deploy::Objective::kLongestPath;
-  auto solve = adopted.session.Solve(spec);
+  auto solve = SolveOnPool(app, pool.instances, pool.costs, spec);
   ASSERT_FALSE(solve.ok());
   EXPECT_EQ(solve.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(solve.status().message().find("not formulated for"),
             std::string::npos)
       << solve.status().ToString();
   EXPECT_EQ(solve.status().ToString(),
-            SolveThroughFacade(app, adopted.costs, spec).status().ToString());
-  EXPECT_TRUE(adopted.session.solves().empty());
+            SolveThroughFacade(app, pool.costs, spec).status().ToString());
+
+  // A session's Solve() reports the same error and records no history.
+  net::CloudSimulator cloud(net::AmazonEc2Profile(), 31);
+  DeploymentSession session(&cloud, &app, FastOptions());
+  auto via_session = session.Solve(spec);
+  ASSERT_FALSE(via_session.ok());
+  EXPECT_EQ(via_session.status().ToString(), solve.status().ToString());
+  EXPECT_TRUE(session.solves().empty());
 }
 
 TEST(SessionFacadeAgreementTest, DefaultsArePinned) {

@@ -106,29 +106,24 @@ Result<Pool> ObtainPool(const ParsedRequest& request,
               env.measure_virtual_s};
 }
 
-// Solves on the pool through the session path the service uses: price the
-// pool, adopt the measurement, solve.
-Result<SessionSolve> Solve(const ParsedRequest& request, Pool pool,
+// Solves on the pool through the search step the service uses: price the
+// pool, then SolveOnPool.
+Result<SessionSolve> Solve(const ParsedRequest& request, const Pool& pool,
                            const obs::ObsConfig& obs) {
-  SessionOptions options;
-  options.obs = obs;
-  DeploymentSession session(/*cloud=*/nullptr, request.app.get(), options);
   SolveSpec spec = request.solve;
   CLOUDIA_RETURN_IF_ERROR(service::FillInstancePrices(
       request.environment.provider, pool.instances, &spec.objective));
-  CLOUDIA_RETURN_IF_ERROR(session.AdoptMeasurement(
-      std::move(pool.instances), std::move(pool.costs), pool.measure_s));
-  return session.Solve(spec);
+  return SolveOnPool(*request.app, pool.instances, pool.costs, spec, obs);
 }
 
-void PrintReport(const SessionSolve& solve, size_t allocated,
-                 double measure_s) {
+void PrintReport(const SessionSolve& solve, const Pool& pool) {
+  const size_t allocated = pool.instances.size();
   std::printf("ClouDiA deployment report\n");
   std::printf("  allocated instances : %zu\n", allocated);
   std::printf("  used instances      : %zu\n", solve.placement.size());
   std::printf("  spare instances     : %zu (terminate these)\n",
               allocated - solve.placement.size());
-  std::printf("  measurement time    : %.1f s (virtual)\n", measure_s);
+  std::printf("  measurement time    : %.1f s (virtual)\n", pool.measure_s);
   std::printf("  search time         : %.2f s (wall, %s)\n", solve.wall_s,
               solve.method.c_str());
   std::printf("  default cost        : %.4f ms\n", solve.default_cost_ms);
@@ -172,14 +167,12 @@ int Run(const ParsedRequest& request) {
     std::fprintf(stderr, "%s\n", pool.status().ToString().c_str());
     return 1;
   }
-  const size_t allocated = pool->instances.size();
-  const double measure_s = pool->measure_s;
   if (request.verb == RequestVerb::kMeasure) {
-    std::printf("measured %zu instances over %.1f virtual s\n", allocated,
-                measure_s);
+    std::printf("measured %zu instances over %.1f virtual s\n",
+                pool->instances.size(), pool->measure_s);
     return 0;
   }
-  auto solve = Solve(request, std::move(*pool), sinks.Config());
+  auto solve = Solve(request, *pool, sinks.Config());
   if (!solve.ok()) {
     std::fprintf(stderr, "solve failed: %s\n",
                  solve.status().ToString().c_str());
@@ -187,7 +180,7 @@ int Run(const ParsedRequest& request) {
   }
   if (!sinks.Dump()) return 1;
   if (request.verb == RequestVerb::kAdvise) {
-    PrintReport(*solve, allocated, measure_s);
+    PrintReport(*solve, *pool);
     return 0;
   }
   const deploy::NdpSolveResult& result = solve->result;
