@@ -42,24 +42,25 @@ size_t MeasurementResult::Index(int i, int j) const {
 }
 
 void MeasurementResult::Add(int i, int j, double rtt_ms, Rng& rng) {
+  Add(i, j, rtt_ms, DrawSlot(moments_[Index(i, j)].count + 1, rng));
+}
+
+void MeasurementResult::Add(int i, int j, double rtt_ms, uint64_t slot) {
   const size_t link = Index(i, j);
   LinkMoments& m = moments_[link];
   ++m.count;
   const double delta = rtt_ms - m.mean;
   m.mean += delta / static_cast<double>(m.count);
   m.m2 += delta * (rtt_ms - m.mean);
-  ++total_samples_;
-  // Vitter's algorithm R: the first kReservoirCap samples fill the slots,
-  // each later one replaces a random slot with probability cap/count. The
-  // draw is taken with or without a reservoir, so both see one RNG stream.
-  uint64_t slot = m.count - 1;
-  if (m.count > kReservoirCap) {
-    slot = rng.Below(m.count);
-    if (slot >= kReservoirCap) return;
-  }
-  if (reservoir_ != nullptr) {
+  if (reservoir_ != nullptr && slot < kReservoirCap) {
     reservoir_[link * kReservoirCap + static_cast<size_t>(slot)] = rtt_ms;
   }
+}
+
+int64_t MeasurementResult::total_samples() const {
+  int64_t total = 0;
+  for (const LinkMoments& m : moments_) total += static_cast<int64_t>(m.count);
+  return total;
 }
 
 LinkView MeasurementResult::Link(int i, int j) const {

@@ -64,13 +64,30 @@ class MeasurementResult {
   int num_instances() const { return n_; }
   bool keeps_percentiles() const { return reservoir_ != nullptr; }
 
-  /// Records one RTT sample of the ordered link i -> j.
+  /// Records one RTT sample of the ordered link i -> j, drawing its
+  /// reservoir slot from `rng`: Add(i, j, rtt_ms, DrawSlot(count + 1, rng))
+  /// with `count` the link's samples so far.
   void Add(int i, int j, double rtt_ms, Rng& rng);
+
+  /// Records one RTT sample of the ordered link i -> j into the reservoir
+  /// slot `slot` already drawn by DrawSlot (a slot >= kReservoirCap keeps
+  /// the sample out of the reservoir). Touches only that link's state, so
+  /// threads may record samples of disjoint links concurrently.
+  void Add(int i, int j, double rtt_ms, uint64_t slot);
+
+  /// The reservoir slot of a link's `count`-th sample (count >= 1), by
+  /// Vitter's algorithm R: the first kReservoirCap samples fill the slots
+  /// in order, each later one draws rng.Below(count) and replaces that slot
+  /// if it is below kReservoirCap. The draw is taken with or without a
+  /// reservoir, so both kinds of result see one random stream.
+  static uint64_t DrawSlot(size_t count, Rng& rng) {
+    return count > kReservoirCap ? rng.Below(count) : count - 1;
+  }
 
   LinkView Link(int i, int j) const;
 
   /// Samples recorded over all links.
-  int64_t total_samples() const { return total_samples_; }
+  int64_t total_samples() const;
 
   /// Virtual time the measurement occupied the instances (ms).
   double virtual_time_ms = 0.0;
@@ -85,7 +102,6 @@ class MeasurementResult {
   int n_;
   std::vector<LinkMoments> moments_;      // n*n row-major, diagonal unused
   std::unique_ptr<double[]> reservoir_;   // n*n*kReservoirCap, or null
-  int64_t total_samples_ = 0;
 };
 
 /// Communication-cost metrics of paper Sect. 3.2.

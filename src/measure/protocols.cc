@@ -1,7 +1,18 @@
 #include "measure/protocols.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <functional>
+#include <string>
+#include <system_error>
+#include <thread>
+#include <utility>
+#include <vector>
+
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#endif
 
 #include "common/check.h"
 #include "common/rng.h"
@@ -28,6 +39,110 @@ Status CancelledStatus(const char* protocol) {
                            " measurement aborted by its cancel token");
 }
 
+// Polls a participant spends on a stage handoff before it blocks, about
+// 30 us of pause instructions on a 4-core Xeon VM: well above the few us a
+// participant waits between two stages of a pool of 55, so a crew on idle
+// cores never sleeps mid-run, while one on oversubscribed (or sanitized)
+// cores soon stops burning them.
+constexpr int kSpinsBeforeBlocking = 2048;
+
+void CpuRelax() {
+#if defined(__x86_64__) || defined(__i386__)
+  _mm_pause();
+#endif
+}
+
+// Waits until `flag` no longer holds `old` and returns its new value:
+// spins briefly, then blocks in std::atomic::wait.
+template <typename T>
+T AwaitChange(const std::atomic<T>& flag, T old) {
+  for (int spin = 0; spin < kSpinsBeforeBlocking; ++spin) {
+    const T now = flag.load(std::memory_order_acquire);
+    if (now != old) return now;
+    CpuRelax();
+  }
+  T now = flag.load(std::memory_order_acquire);
+  while (now == old) {
+    flag.wait(old, std::memory_order_acquire);
+    now = flag.load(std::memory_order_acquire);
+  }
+  return now;
+}
+
+// Runs one callable on a fixed crew: helper threads started once per
+// protocol run, plus the calling leader. Run() releases every helper into
+// work(h), h = 0..helpers-1, runs work(helpers) on the leader, and returns
+// once each helper has finished; all writes of that round are then visible
+// to the leader. The destructor stops and joins the helpers, so none
+// outlives the run on any path.
+class StageCrew {
+ public:
+  StageCrew(int helpers, std::function<void(int)> work)
+      : work_(std::move(work)) {
+    threads_.reserve(static_cast<size_t>(std::max(helpers, 0)));
+    for (int h = 0; h < helpers; ++h) {
+      try {
+        threads_.emplace_back([this, h] { HelperLoop(h); });
+      } catch (const std::system_error&) {
+        break;  // no thread to spare: run with the crew started so far
+      }
+    }
+  }
+  StageCrew(const StageCrew&) = delete;
+  StageCrew& operator=(const StageCrew&) = delete;
+  ~StageCrew() {
+    stop_.store(true, std::memory_order_relaxed);
+    epoch_.fetch_add(1, std::memory_order_release);
+    epoch_.notify_all();
+    for (std::thread& thread : threads_) thread.join();
+  }
+
+  /// Helpers started plus the leader.
+  int size() const { return static_cast<int>(threads_.size()) + 1; }
+
+  void Run() {
+    const int helpers = static_cast<int>(threads_.size());
+    pending_.store(helpers, std::memory_order_relaxed);
+    epoch_.fetch_add(1, std::memory_order_release);
+    epoch_.notify_all();
+    work_(helpers);
+    for (int left = pending_.load(std::memory_order_acquire); left != 0;) {
+      left = AwaitChange(pending_, left);
+    }
+  }
+
+ private:
+  void HelperLoop(int helper) {
+    uint32_t seen = 0;
+    for (;;) {
+      seen = AwaitChange(epoch_, seen);
+      if (stop_.load(std::memory_order_relaxed)) return;
+      work_(helper);
+      if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+        pending_.notify_one();
+      }
+    }
+  }
+
+  const std::function<void(int)> work_;
+  std::atomic<uint32_t> epoch_{0};  // bumped once per round, and to stop
+  std::atomic<int> pending_{0};     // helpers still inside this round
+  std::atomic<bool> stop_{false};
+  std::vector<std::thread> threads_;
+};
+
+// The random draws of one staged sample, in stream order: its jitter
+// uniform, then the reservoir slot of the link's `count`-th sample.
+struct SampleDraw {
+  double jitter_u;
+  uint64_t slot;
+};
+
+SampleDraw DrawSample(Rng& rng, size_t count) {
+  const double jitter_u = rng.Uniform();
+  return {jitter_u, MeasurementResult::DrawSlot(count, rng)};
+}
+
 // The shared prologue of every protocol.
 Status CheckRun(const std::vector<net::Instance>& instances,
                 const ProtocolOptions& options) {
@@ -50,12 +165,23 @@ Status ProtocolOptions::Validate() const {
   if (!std::isfinite(start_t_hours)) {
     return Status::InvalidArgument("start_t_hours must be finite");
   }
+  if (participants < 1 || participants > kMaxParticipants) {
+    return Status::InvalidArgument(
+        "participants must be in [1, " + std::to_string(kMaxParticipants) +
+        "], got " + std::to_string(participants));
+  }
   return Status::OK();
 }
 
 uint64_t MeasurementProtocolSeed(uint64_t seed) {
   uint64_t s = seed ^ 0x6d656173756572ULL;  // "measur"
   return SplitMix64(s);
+}
+
+int StagedParticipants(size_t instances, int requested) {
+  const int pairs = static_cast<int>(instances / 2);
+  return std::max(1, std::min(requested, pairs / ProtocolOptions::
+                                                     kMinPairsPerParticipant));
 }
 
 double DefaultMeasureDurationS(size_t instance_count) {
@@ -202,27 +328,88 @@ Result<MeasurementResult> RunStaged(const net::CloudSimulator& cloud,
   std::vector<int> circle(static_cast<size_t>(nn));
   for (int i = 0; i < nn; ++i) circle[static_cast<size_t>(i)] = i;
 
+  // Each stage's live pairs are split into contiguous blocks, one per
+  // participant; the leader prices the last. A pair keeps its position in
+  // every cycle, so a link stays with one participant. No draw depends on
+  // an RTT, so before a stage the leader walks the stream through the
+  // draws of every block but the last, handing each block a copy of the
+  // stream at its start; each participant then draws its block's samples
+  // in stream order from its copy, and the last block's copy ends where
+  // the control probe draws next. The result is bit-identical for any crew
+  // size, and participants write no shared cache line during a stage.
+  std::vector<std::pair<int, int>> pairs;
+  pairs.reserve(static_cast<size_t>(nn / 2));
+  const size_t ks = static_cast<size_t>(options.ks);
+  struct alignas(64) Block {  // a cache line per participant
+    Rng draws{0};             // the stream at the block's first draw
+    double longest_ms = 0.0;  // the block's longest pair
+  };
+  std::vector<Block> blocks;
   double now = 0.0;
+  // A link is measured every other cycle (directions alternate), ks
+  // samples at a time, so each of a stage's links holds this many.
+  size_t seen = 0;
+  auto block_range = [&](int b) {
+    const size_t count = pairs.size();
+    const size_t participants = blocks.size();
+    return std::pair{count * static_cast<size_t>(b) / participants,
+                     count * static_cast<size_t>(b + 1) / participants};
+  };
+  // Prices block `b` from its stream, polling the cancel token per pair.
+  auto measure_block = [&](int b) {
+    Block& block = blocks[static_cast<size_t>(b)];
+    const auto [begin, end] = block_range(b);
+    double longest = 0.0;
+    for (size_t p = begin; p < end; ++p) {
+      if (options.cancel.Cancelled()) return;
+      const auto [i, j] = pairs[p];
+      CLOUDIA_DCHECK(result.Link(i, j).count() == seen);
+      double pair_time = 0.0;
+      for (size_t k = 0; k < ks; ++k) {
+        const SampleDraw draw = DrawSample(block.draws, seen + k + 1);
+        double rtt = links.Sample(
+            i, j, options.msg_bytes,
+            HoursAt(options.start_t_hours, now + pair_time), draw.jitter_u);
+        pair_time += rtt;
+        result.Add(i, j, rtt, draw.slot);
+      }
+      longest = std::max(longest, pair_time);
+    }
+    block.longest_ms = longest;
+  };
+  StageCrew crew(
+      StagedParticipants(instances.size(), options.participants) - 1,
+      measure_block);
+  blocks.resize(static_cast<size_t>(crew.size()));
+
   int round = 0;
   int cycle = 0;
   while (now < budget_ms) {
     if (options.cancel.Cancelled()) return CancelledStatus("staged");
-    double stage_time = 0.0;
+    pairs.clear();
     for (int p = 0; p < nn / 2; ++p) {
-      if (options.cancel.Cancelled()) return CancelledStatus("staged");
       int i = circle[static_cast<size_t>(p)];
       int j = circle[static_cast<size_t>(nn - 1 - p)];
       if (i >= n || j >= n) continue;  // bye
       if ((cycle + p) % 2 == 1) std::swap(i, j);  // alternate directions
-      double pair_time = 0.0;
-      for (int k = 0; k < options.ks; ++k) {
-        double rtt = links.Sample(
-            i, j, options.msg_bytes,
-            HoursAt(options.start_t_hours, now + pair_time), rng);
-        pair_time += rtt;
-        result.Add(i, j, rtt, rng);
+      pairs.push_back({i, j});
+    }
+    seen = ks * static_cast<size_t>(cycle / 2);
+    for (size_t b = 0; b < blocks.size(); ++b) {
+      blocks[b].draws = rng;
+      if (b + 1 == blocks.size()) break;
+      const auto [begin, end] = block_range(static_cast<int>(b));
+      for (size_t draw = begin * ks; draw < end * ks; ++draw) {
+        DrawSample(rng, seen + draw % ks + 1);
       }
-      stage_time = std::max(stage_time, pair_time);
+    }
+    crew.Run();
+    if (options.cancel.Cancelled()) return CancelledStatus("staged");
+    rng = blocks.back().draws;
+
+    double stage_time = 0.0;
+    for (const Block& block : blocks) {
+      stage_time = std::max(stage_time, block.longest_ms);
     }
     // Coordination overhead: notify + completion, pipelined across pairs.
     stage_time += links.Sample(0, 1, kControlBytes,

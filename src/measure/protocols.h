@@ -40,17 +40,31 @@ struct ProtocolOptions {
   /// virtual time and the sample count are bit-identical. Callers that
   /// build one known metric set this to `metric == CostMetric::kP99`.
   bool keep_percentiles = true;
+  /// Staged only: threads that measure each stage's pairs, the caller
+  /// included (1..kMaxParticipants). Every draw is taken in one stream
+  /// order before the stage's pairs are priced, so the result is
+  /// bit-identical for any value; only the wall time changes. A run whose
+  /// stages hold fewer than kMinPairsPerParticipant pairs per participant
+  /// uses fewer participants (at least 1).
+  int participants = 1;
   /// Cooperative abort: the protocols poll this token between probes and
   /// fail with Status::Cancelled when tripped. A measurement is the billed,
   /// minutes-long step of a real run, so an abandoned request must be able
   /// to stop it mid-flight, not only at the next stage boundary.
   CancelToken cancel;
 
-  /// OK iff duration_s is finite and > 0, msg_bytes finite and >= 0, and
-  /// start_t_hours finite. Every protocol entry point checks this first, so
-  /// an infinite duration cannot spin a run until its cancel token trips and
-  /// a NaN one cannot return an empty run.
+  /// OK iff duration_s is finite and > 0, msg_bytes finite and >= 0,
+  /// start_t_hours finite and participants in [1, kMaxParticipants]. Every
+  /// protocol entry point checks this first, so an infinite duration cannot
+  /// spin a run until its cancel token trips and a NaN one cannot return an
+  /// empty run.
   Status Validate() const;
+
+  static constexpr int kMaxParticipants = 64;
+  /// A staged run splits each stage over at most
+  /// floor(pairs per stage / kMinPairsPerParticipant) participants: with
+  /// fewer pairs each, the stage handoff costs more than the split saves.
+  static constexpr int kMinPairsPerParticipant = 4;
 };
 
 /// Derives the protocol seed from a measurement seed. Applied by
@@ -76,7 +90,14 @@ Result<MeasurementResult> RunUncoordinated(
     const std::vector<net::Instance>& instances,
     const ProtocolOptions& options);
 
-/// Runs the staged protocol with a coordinator.
+/// Participants a staged run over `instances` uses when asked for
+/// `requested`: at most one per kMinPairsPerParticipant pairs of a stage,
+/// and at least 1.
+int StagedParticipants(size_t instances, int requested);
+
+/// Runs the staged protocol with a coordinator, each stage's pairs split
+/// over options.participants threads (the caller and helpers it starts and
+/// joins before returning, on every path).
 Result<MeasurementResult> RunStaged(const net::CloudSimulator& cloud,
                                     const std::vector<net::Instance>& instances,
                                     const ProtocolOptions& options);

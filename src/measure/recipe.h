@@ -43,14 +43,21 @@ struct MeasuredMatrix {
 /// Runs `spec.protocol` over `pool` and builds the `spec.metric` matrix,
 /// requiring full coverage (a sentinel-poisoned matrix would skew every
 /// solve it is cached for). Keeps percentile reservoirs only for kP99.
-/// `cancel` aborts the run mid-flight with Status::Cancelled. With a tracer
-/// on `obs`, the run is one "measure.run" span under obs.parent carrying
-/// the protocol, the instance and sample counts and the virtual seconds.
+/// `cancel` aborts the run mid-flight with Status::Cancelled.
+/// `participants` threads (the caller included) measure each stage of a
+/// staged run (ProtocolOptions::participants); the matrix does not depend
+/// on it. With a tracer on `obs`, the run is one "measure.run" span under
+/// obs.parent carrying the protocol, the instance and sample counts, the
+/// virtual seconds and the participants the run used; with
+/// obs.virtual_clock, the span ends that many virtual seconds after it
+/// began. With a registry, a completed run adds to measure.runs,
+/// measure.samples and measure.virtual_ms.
 Result<MeasuredMatrix> MeasureCostMatrix(const net::CloudSimulator& cloud,
                                          const std::vector<net::Instance>& pool,
                                          const MeasurementSpec& spec,
                                          const CancelToken& cancel = {},
-                                         const obs::ObsConfig& obs = {});
+                                         const obs::ObsConfig& obs = {},
+                                         int participants = 1);
 
 }  // namespace cloudia::measure
 

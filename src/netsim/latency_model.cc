@@ -161,10 +161,16 @@ double LatencyModel::SampleRtt(int vm_a, int host_a, int vm_b, int host_b,
 
 double LatencyModel::SampleRtt(const LinkParams& link, double msg_bytes,
                                double t_hours, Rng& rng) const {
+  return SampleRtt(link, msg_bytes, t_hours, rng.Uniform());
+}
+
+double LatencyModel::SampleRtt(const LinkParams& link, double msg_bytes,
+                               double t_hours, double jitter_u) const {
   double rtt = link.static_mean_ms * DriftMultiplier(link, t_hours);
   rtt += 2.0 * SerializationMs(msg_bytes);
   rtt += 2.0 * profile_.per_message_overhead_ms;
-  rtt += rng.Exponential(link.jitter_rate);
+  // Rng::Exponential(rate) of the uniform, term for term.
+  rtt += -std::log(1.0 - jitter_u) / link.jitter_rate;
   rtt += BurstAt(link, t_hours);
   return rtt;
 }

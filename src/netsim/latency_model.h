@@ -58,9 +58,17 @@ class LatencyModel {
                    double msg_bytes, double t_hours, Rng& rng) const;
 
   /// One stochastic RTT sample (ms) of a link whose parameters were derived
-  /// already (see net::LinkTable). The one sampling formula.
+  /// already (see net::LinkTable), its jitter drawn from `rng`:
+  /// SampleRtt(link, msg_bytes, t_hours, rng.Uniform()).
   double SampleRtt(const LinkParams& link, double msg_bytes, double t_hours,
                    Rng& rng) const;
+
+  /// The one sampling formula, from the sample's jitter uniform `jitter_u`
+  /// in [0, 1) already drawn. No sample draws anything else, so a caller
+  /// may take the draws of many samples first and price them later, in any
+  /// order or on any thread.
+  double SampleRtt(const LinkParams& link, double msg_bytes, double t_hours,
+                   double jitter_u) const;
 
   /// One-way wire time for `msg_bytes` (ms), used by the interference model.
   double SerializationMs(double msg_bytes) const;

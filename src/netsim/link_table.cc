@@ -23,6 +23,11 @@ LinkTable::LinkTable(const CloudSimulator& cloud,
 
 double LinkTable::Sample(int i, int j, double msg_bytes, double t_hours,
                          Rng& rng) const {
+  return Sample(i, j, msg_bytes, t_hours, rng.Uniform());
+}
+
+double LinkTable::Sample(int i, int j, double msg_bytes, double t_hours,
+                         double jitter_u) const {
   const size_t si = static_cast<size_t>(i);
   const size_t sj = static_cast<size_t>(j);
   CLOUDIA_DCHECK(si < n_ && sj < n_ && si != sj);
@@ -31,12 +36,12 @@ double LinkTable::Sample(int i, int j, double msg_bytes, double t_hours,
   const LatencyModel& model = cloud_.model();
   const LinkPath path = cloud_.PathAt(a, b, t_hours);
   if (path.host_a == a.host && path.host_b == b.host) {
-    return path.multiplier *
-           model.SampleRtt(links_[si * n_ + sj], msg_bytes, t_hours, rng);
+    return path.multiplier * model.SampleRtt(links_[si * n_ + sj], msg_bytes,
+                                             t_hours, jitter_u);
   }
   return path.multiplier *
          model.SampleRtt(model.Link(a.id, path.host_a, b.id, path.host_b),
-                         msg_bytes, t_hours, rng);
+                         msg_bytes, t_hours, jitter_u);
 }
 
 }  // namespace cloudia::net

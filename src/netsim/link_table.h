@@ -35,6 +35,13 @@ class LinkTable {
   double Sample(int i, int j, double msg_bytes, double t_hours,
                 Rng& rng) const;
 
+  /// The same sample from its jitter uniform `jitter_u`, already drawn (see
+  /// LatencyModel::SampleRtt); the Rng overload draws it and calls this.
+  /// Const and free of shared mutable state, so threads may sample disjoint
+  /// links of one table concurrently.
+  double Sample(int i, int j, double msg_bytes, double t_hours,
+                double jitter_u) const;
+
  private:
   const CloudSimulator& cloud_;
   const std::vector<Instance>& instances_;

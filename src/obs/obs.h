@@ -17,6 +17,11 @@ struct ObsConfig {
   Tracer* tracer = nullptr;
   /// Spans emitted under this config nest beneath this span (0 = top level).
   SpanId parent = 0;
+  /// Set when `tracer` runs on this VirtualClock (a deterministic trace in
+  /// virtual time): a layer that simulates virtual time, such as a
+  /// measurement protocol, advances the clock by the time it simulated
+  /// before closing its span, so the span covers that time.
+  VirtualClock* virtual_clock = nullptr;
 
   bool enabled() const { return metrics != nullptr || tracer != nullptr; }
 

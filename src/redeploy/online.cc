@@ -61,8 +61,8 @@ Result<OnlineOutcome> RunOnlineRedeployment(
           // Stamp the trace in virtual time: the span for this check opens
           // (and, via RAII, closes) at the check's event-queue instant, so
           // identical runs serialize to identical bytes.
-          if (options.virtual_clock != nullptr) {
-            options.virtual_clock->SetSeconds(t_hours * 3600.0);
+          if (options.obs.virtual_clock != nullptr) {
+            options.obs.virtual_clock->SetSeconds(t_hours * 3600.0);
           }
           obs::Span check_span(options.obs.tracer, "redeploy.check",
                                "redeploy", options.obs.parent);
@@ -84,7 +84,9 @@ Result<OnlineOutcome> RunOnlineRedeployment(
           // Full re-measure of the pool at this virtual instant, with the
           // baseline measurement's spec. The measurement seed is re-derived
           // per escalation so repeated refreshes do not replay the
-          // baseline's sample stream.
+          // baseline's sample stream. On a virtual clock the re-measure
+          // advances the clock by its protocol time, so its span and the
+          // check's cover the time the escalation paid.
           const measure::MeasurementSpec spec{
               .protocol = options.protocol,
               .metric = options.metric,
@@ -104,12 +106,7 @@ Result<OnlineOutcome> RunOnlineRedeployment(
           ++outcome.remeasures;
           remeasures_counter.Add();
           record.remeasured = true;
-          // Advance the virtual clock past the re-measure so the check's
-          // span duration reflects the protocol time the escalation paid.
           const double duration_s = spec.DurationS(pool.size());
-          if (options.virtual_clock != nullptr) {
-            options.virtual_clock->SetSeconds(t_hours * 3600.0 + duration_s);
-          }
           outcome.latest_costs = std::move(refreshed->costs);
           // Observers get the instant the re-measure *completed*: that is
           // where a drift timeline for this matrix starts (matching how a

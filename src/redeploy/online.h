@@ -56,12 +56,12 @@ struct OnlineOptions {
   /// redeploy.monitor.checks / .escalations, redeploy.measure.remeasures,
   /// redeploy.planner.moves. Spans: one "redeploy.check" per drift check
   /// under obs.parent, with a re-measure's "measure.run" under it. With
-  /// `virtual_clock` set, the clock is advanced to each check's virtual
-  /// event time before its span opens, so the trace is stamped in virtual
-  /// time and byte-identical across runs (the loop is single-threaded and
+  /// obs.virtual_clock set, the clock is set to each check's virtual event
+  /// time before its span opens, and a re-measure advances it by the
+  /// protocol's virtual time, so the trace is stamped in virtual time and
+  /// byte-identical across runs (the loop is single-threaded and
   /// deterministic for fixed seeds).
   obs::ObsConfig obs;
-  obs::VirtualClock* virtual_clock = nullptr;
 };
 
 /// One check of the loop, in order.

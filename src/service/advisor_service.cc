@@ -47,6 +47,7 @@ struct StatsCell {
   obs::Counter redeploys = registry->counter("service.redeploy.requests");
   obs::Counter redeploys_drifted =
       registry->counter("service.redeploy.drifted");
+  obs::Counter redeploys_failed = registry->counter("service.redeploy.failed");
   obs::Counter matrix_refreshes =
       registry->counter("service.redeploy.matrix_refreshes");
 };
@@ -154,7 +155,11 @@ struct RedeployState : Completion<RedeployState, RedeployResult> {
   std::shared_ptr<StatsCell> stats;
 
   void OnComplete(RedeployResult& r) {
-    if (r.status.ok() && r.drift_detected) stats->redeploys_drifted.Add();
+    if (!r.status.ok()) {
+      stats->redeploys_failed.Add();
+    } else if (r.drift_detected) {
+      stats->redeploys_drifted.Add();
+    }
     r.total_s = submitted.ElapsedSeconds();
   }
 };
@@ -326,6 +331,19 @@ AdvisorService::AdvisorService(Options options)
         copts.ttl_s = options_.cache_ttl_s;
         copts.measure_fn = options_.measure_fn;
         copts.metrics = stats_->registry;
+        // A measurement runs on what the thread budget has left when it
+        // starts (at least its own thread), counted like a solve's share
+        // until it ends; matrices do not depend on the number.
+        copts.take_participants = [this] {
+          std::lock_guard<std::mutex> lock(mu_);
+          const int share = std::max(1, threads_ - granted_threads_);
+          granted_threads_ += share;
+          return share;
+        };
+        copts.return_participants = [this](int share) {
+          std::lock_guard<std::mutex> lock(mu_);
+          granted_threads_ -= share;
+        };
         return copts;
       }()),
       paused_(options_.start_paused) {
@@ -936,6 +954,7 @@ AdvisorService::Stats AdvisorService::stats() const {
           .hier_routed = c.hier_routed.value(),
           .redeploys = c.redeploys.value(),
           .redeploys_drifted = c.redeploys_drifted.value(),
+          .redeploys_failed = c.redeploys_failed.value(),
           .matrix_refreshes = c.matrix_refreshes.value()};
 }
 

@@ -236,11 +236,14 @@ class RedeployHandle {
 class AdvisorService {
  public:
   struct Options {
-    /// Global worker-thread budget: both the number of concurrent jobs and
-    /// the cap on solver-internal parallelism. 0 = hardware concurrency.
-    /// With threads = 1 the whole service is deterministic: jobs run
-    /// sequentially in strict priority order and every solver runs
-    /// single-threaded.
+    /// Global worker-thread budget: the number of concurrent jobs, and the
+    /// cap on the threads a job's measurement and its solve use. A
+    /// measurement or a solve takes what the budget has left when it starts
+    /// (at least 1 thread) and holds it until it ends; a request waiting on
+    /// another's measurement holds none. 0 = hardware concurrency. A
+    /// measured matrix is bit-identical for any budget. With threads = 1
+    /// the whole service is deterministic: jobs run sequentially in strict
+    /// priority order and every solver runs single-threaded.
     int threads = 0;
     size_t cache_capacity = 8;
     double cache_ttl_s = std::numeric_limits<double>::infinity();
@@ -292,6 +295,7 @@ class AdvisorService {
     uint64_t hier_routed = 0;       ///< "auto" requests sent to hier
     uint64_t redeploys = 0;             ///< redeploy requests submitted
     uint64_t redeploys_drifted = 0;     ///< completed with drift detected
+    uint64_t redeploys_failed = 0;  ///< completed non-OK (cancels included)
     uint64_t matrix_refreshes = 0;      ///< matrices fed back into the cache
   };
 
@@ -374,9 +378,9 @@ class AdvisorService {
   /// Redeploy requests queued while paused (drained by Resume()).
   std::vector<std::shared_ptr<internal::RedeployState>> pending_redeploys_;
   int running_jobs_ = 0;
-  /// Sum of solver-internal threads currently granted to running jobs; a
-  /// new job's share is what the budget has left (floored at 1), so the
-  /// total stays within options_.threads instead of oversubscribing.
+  /// Sum of threads currently granted to running solves and measurements;
+  /// a new share is what the budget has left (floored at 1), so the total
+  /// stays within options_.threads instead of oversubscribing.
   int granted_threads_ = 0;
 };
 

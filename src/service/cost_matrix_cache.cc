@@ -134,9 +134,8 @@ Result<CostMatrixCache::Lookup> CostMatrixCache::Get(
 
     if (leader) {
       Result<MeasuredEnvironment> measured =
-          options_.measure_fn
-              ? options_.measure_fn(spec, flight->measure_cancel)
-              : MeasureEnvironment(spec, flight->measure_cancel, obs);
+          options_.measure_fn ? options_.measure_fn(spec, flight->measure_cancel)
+                              : Measure(spec, flight->measure_cancel, obs);
       EntryPtr entry;
       if (measured.ok()) {
         entry = std::make_shared<const MeasuredEnvironment>(
@@ -185,6 +184,17 @@ Result<CostMatrixCache::Lookup> CostMatrixCache::Get(
     }
     return flight_status;
   }
+}
+
+Result<MeasuredEnvironment> CostMatrixCache::Measure(
+    const EnvironmentSpec& spec, const CancelToken& cancel,
+    const obs::ObsConfig& obs) {
+  const int participants =
+      options_.take_participants ? options_.take_participants() : 1;
+  Result<MeasuredEnvironment> measured =
+      MeasureEnvironment(spec, cancel, obs, participants);
+  if (options_.return_participants) options_.return_participants(participants);
+  return measured;
 }
 
 void CostMatrixCache::Put(MeasuredEnvironment env) {

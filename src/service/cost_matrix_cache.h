@@ -55,6 +55,14 @@ class CostMatrixCache {
     double ttl_s = std::numeric_limits<double>::infinity();
     /// Test hook: replaces the real measurement.
     MeasureFn measure_fn;
+    /// Lends a real measurement idle threads. A caller that leads one calls
+    /// `take_participants` just before it starts, measures on the returned
+    /// number of participants (>= 1), and hands the same number to
+    /// `return_participants` once it ends, whatever its outcome. Waiters,
+    /// hits and measure_fn take nothing. Unset: every measurement runs on
+    /// its caller alone.
+    std::function<int()> take_participants;
+    std::function<void(int)> return_participants;
     /// Test hook: monotonic clock in seconds, for deterministic TTL tests.
     std::function<double()> now_fn;
     /// The registry the cache counts into, as cache.matrix.* counters; it
@@ -134,6 +142,10 @@ class CostMatrixCache {
   };
 
   double Now() const;
+  /// The real measurement, on the participants take_participants lends.
+  Result<MeasuredEnvironment> Measure(const EnvironmentSpec& spec,
+                                      const CancelToken& cancel,
+                                      const obs::ObsConfig& obs);
   /// Moves `key` to the front of the LRU list. Requires mu_ held.
   void Touch(const std::string& key);
   /// Drops every TTL-expired entry so a long-idle cache neither pins dead

@@ -49,7 +49,8 @@ Status FillInstancePrices(std::string_view provider,
 
 Result<MeasuredEnvironment> MeasureEnvironment(const EnvironmentSpec& spec,
                                                const CancelToken& cancel,
-                                               const obs::ObsConfig& obs) {
+                                               const obs::ObsConfig& obs,
+                                               int participants) {
   if (spec.instances < 2) {
     return Status::InvalidArgument(
         "environment needs >= 2 instances, got " +
@@ -71,7 +72,7 @@ Result<MeasuredEnvironment> MeasureEnvironment(const EnvironmentSpec& spec,
                                   .duration_s = spec.measure_duration_s,
                                   .probe_bytes = spec.probe_bytes,
                                   .seed = spec.seed},
-                                 cancel, obs));
+                                 cancel, obs, participants));
   env.costs = std::move(measured.costs);
   env.measure_virtual_s = measured.virtual_s;
   return env;

@@ -81,10 +81,13 @@ Status FillInstancePrices(std::string_view provider,
 /// specs produce bit-identical matrices, matching what a
 /// cloudia::DeploymentSession with the same options would have measured.
 /// `cancel` aborts the measurement mid-flight with Status::Cancelled; the
-/// measurement's "measure.run" span goes on `obs`.
+/// measurement's "measure.run" span goes on `obs`. `participants` threads
+/// measure it (see measure::MeasureCostMatrix); the matrix does not depend
+/// on their number.
 Result<MeasuredEnvironment> MeasureEnvironment(const EnvironmentSpec& spec,
                                                const CancelToken& cancel = {},
-                                               const obs::ObsConfig& obs = {});
+                                               const obs::ObsConfig& obs = {},
+                                               int participants = 1);
 
 }  // namespace cloudia::service
 

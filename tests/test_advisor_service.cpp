@@ -551,6 +551,39 @@ TEST(AdvisorServiceTest, ServiceMatrixMatchesSessionMeasurement) {
   EXPECT_EQ(session.costs(), measured->costs);
 }
 
+// A lone request on an idle service measures on the service's whole
+// thread budget, and the matrix must not depend on that budget.
+TEST(AdvisorServiceTest, LoneRequestMeasuresOnTheIdleBudgetBitForBit) {
+  graph::CommGraph app = graph::Mesh2D(3, 4);
+  auto measure = [&app](int threads, obs::Tracer* tracer) {
+    AdvisorService::Options options;
+    options.threads = threads;
+    options.obs.tracer = tracer;
+    AdvisorService service(options);
+    DeploymentRequest req = BasicRequest(&app);
+    req.environment = TinyEnv(/*seed=*/11, /*instances=*/24);
+    const EnvironmentSpec spec = req.environment;
+    EXPECT_TRUE(service.Submit(std::move(req)).Wait().status.ok());
+    auto cached = service.cache().Get(spec);
+    EXPECT_TRUE(cached.ok() && cached->hit);
+    return cached.ok() ? cached->entry->costs.values() : std::vector<double>{};
+  };
+  obs::Tracer tracer;
+  const std::vector<double> one = measure(1, nullptr);
+  const std::vector<double> two = measure(2, &tracer);
+  ASSERT_FALSE(one.empty());
+  EXPECT_EQ(two, one);
+
+  double participants = 0.0;
+  for (const obs::TraceEvent& event : tracer.Snapshot()) {
+    if (event.name != "measure.run") continue;
+    for (const obs::TraceArg& arg : event.args) {
+      if (arg.key == "participants") participants = arg.number;
+    }
+  }
+  EXPECT_EQ(participants, 2.0);  // 12 pairs a stage: both threads measured
+}
+
 // Runs one paused single-worker batch that exercises every counter behind
 // stats() and cache_stats(): completed, rejected, cancelled, coalesced,
 // deadline-expired, warm-started, portfolio- and hier-routed requests, a
@@ -627,6 +660,7 @@ std::vector<std::pair<std::string, uint64_t>> CounterFields(
       {"service.route.hier", s.hier_routed},
       {"service.redeploy.requests", s.redeploys},
       {"service.redeploy.drifted", s.redeploys_drifted},
+      {"service.redeploy.failed", s.redeploys_failed},
       {"service.redeploy.matrix_refreshes", s.matrix_refreshes},
       {"cache.matrix.hits", c.hits},
       {"cache.matrix.misses", c.misses},
@@ -655,6 +689,7 @@ TEST(AdvisorServiceTest, StatsAreViewsOverTheRegistryCounters) {
   EXPECT_EQ(s.portfolio_routed, 1u);
   EXPECT_EQ(s.hier_routed, 1u);
   EXPECT_EQ(s.redeploys, 1u);
+  EXPECT_EQ(s.redeploys_failed, 1u);
   EXPECT_EQ(c.measurements, 2u);
   EXPECT_GE(c.hits, 1u);
   EXPECT_GE(c.evictions, 1u);

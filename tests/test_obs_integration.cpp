@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <map>
 #include <set>
 #include <string>
@@ -273,8 +274,10 @@ TEST(ObsIntegrationTest, TracedServiceRequestLightsItsMeasurement) {
   const CostMatrix plain = measure({});
 
   obs::Tracer tracer;
+  obs::MetricsRegistry registry;
   obs::ObsConfig obs;
   obs.tracer = &tracer;
+  obs.metrics = &registry;
   const CostMatrix traced = measure(obs);
   ASSERT_EQ(plain.size(), traced.size());
   EXPECT_TRUE(std::equal(plain.values().begin(), plain.values().end(),
@@ -290,13 +293,24 @@ TEST(ObsIntegrationTest, TracedServiceRequestLightsItsMeasurement) {
   EXPECT_EQ(ArgNumber(*run, "instances"), 14.0);
   EXPECT_GT(ArgNumber(*run, "samples"), 0.0);
   EXPECT_GT(ArgNumber(*run, "virtual_s"), 0.0);
+  EXPECT_EQ(ArgNumber(*run, "participants"), 1.0);  // a one-thread service
+
+  // The run's counters agree with its span.
+  EXPECT_EQ(registry.counter("measure.runs").value(), 1u);
+  EXPECT_EQ(static_cast<double>(registry.counter("measure.samples").value()),
+            ArgNumber(*run, "samples"));
+  EXPECT_EQ(registry.counter("measure.virtual_ms").value(),
+            static_cast<uint64_t>(
+                std::llround(ArgNumber(*run, "virtual_s") * 1e3)));
 }
 
 // The redeploy event-queue loop with an injected VirtualClock must produce
 // byte-identical Chrome trace JSON across runs: timestamps are virtual,
 // span ids are a counter, lanes are logical.
 TEST(ObsIntegrationTest, RedeployVirtualClockTraceIsByteStable) {
-  auto run = []() -> std::string {
+  std::vector<obs::TraceEvent> events;
+  int remeasures = 0;
+  auto run = [&events, &remeasures]() -> std::string {
     const uint64_t seed = 4;
     net::CloudSimulator cloud(net::AmazonEc2Profile(), seed);
     auto pool = cloud.Allocate(10);
@@ -333,10 +347,12 @@ TEST(ObsIntegrationTest, RedeployVirtualClockTraceIsByteStable) {
     online.measure_seed = seed;
     online.obs.tracer = &tracer;
     online.obs.metrics = &registry;
-    online.virtual_clock = &clock;
+    online.obs.virtual_clock = &clock;
     auto outcome = redeploy::RunOnlineRedeployment(
         cloud, *pool, app, measured->costs, initial, online);
     CLOUDIA_CHECK(outcome.ok());
+    events = tracer.Snapshot();
+    remeasures = outcome->remeasures;
     return tracer.ToChromeTraceJson() + "\n" + registry.SnapshotLine();
   };
 
@@ -347,6 +363,29 @@ TEST(ObsIntegrationTest, RedeployVirtualClockTraceIsByteStable) {
   EXPECT_NE(first.find("redeploy.check"), std::string::npos);
   EXPECT_NE(first.find("measure.run"), std::string::npos);  // a re-measure
   EXPECT_NE(first.find("redeploy.monitor.checks=6"), std::string::npos);
+  EXPECT_NE(first.find("measure.runs="), std::string::npos);
+
+  // Each re-measure's span lasts its protocol's virtual time, inside the
+  // check that escalated, which starts with it and lasts at least as long.
+  ASSERT_GE(remeasures, 1);
+  int spans = 0;
+  for (const obs::TraceEvent& measure : events) {
+    if (measure.name != "measure.run") continue;
+    ++spans;
+    const double virtual_s = ArgNumber(measure, "virtual_s");
+    EXPECT_GE(virtual_s, 30.0);
+    EXPECT_NEAR(static_cast<double>(measure.duration_ns) * 1e-9, virtual_s,
+                1e-6);
+    const obs::TraceEvent* check = nullptr;
+    for (const obs::TraceEvent& e : events) {
+      if (e.id == measure.parent) check = &e;
+    }
+    ASSERT_NE(check, nullptr);
+    EXPECT_EQ(check->name, "redeploy.check");
+    EXPECT_EQ(check->start_ns, measure.start_ns);
+    EXPECT_GE(check->duration_ns, measure.duration_ns);
+  }
+  EXPECT_EQ(spans, remeasures);
 }
 
 }  // namespace

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
+#include <cstring>
+#include <filesystem>
 #include <limits>
 #include <thread>
 #include <vector>
@@ -165,6 +168,179 @@ TEST_F(ProtocolsTest, ConcurrentStagedRunsOnOneCloudAreIdentical) {
       }
     }
   }
+}
+
+// Threads of this process, from /proc/self/task; -1 where there is none.
+int ProcessThreads() {
+  std::error_code ec;
+  std::filesystem::directory_iterator it("/proc/self/task", ec);
+  if (ec) return -1;
+  int threads = 0;
+  for (; it != std::filesystem::directory_iterator(); it.increment(ec)) {
+    if (ec) return -1;
+    ++threads;
+  }
+  return threads;
+}
+
+// One staged run's bits: every metric's matrix, the virtual time and the
+// sample count.
+struct StagedBits {
+  std::vector<std::vector<double>> matrices;
+  double virtual_time_ms = 0.0;
+  int64_t total_samples = 0;
+  size_t min_link_samples = 0;
+};
+
+StagedBits RunStagedBits(const net::CloudSimulator& cloud,
+                         const std::vector<net::Instance>& pool,
+                         ProtocolOptions options) {
+  StagedBits bits;
+  auto run = RunStaged(cloud, pool, options);
+  EXPECT_TRUE(run.ok()) << run.status().ToString();
+  if (!run.ok()) return bits;
+  // A short run over a large pool leaves links unmeasured: fill them, the
+  // bits compared are those of the measured links.
+  const BuildCostMatrixOptions partial{.allow_missing = true};
+  for (CostMetric metric : {CostMetric::kMean, CostMetric::kMeanPlusStdDev,
+                            CostMetric::kP99}) {
+    auto m = BuildCostMatrix(*run, metric, partial);
+    EXPECT_TRUE(m.ok()) << m.status().ToString();
+    if (m.ok()) bits.matrices.push_back(m->values());
+  }
+  bits.virtual_time_ms = run->virtual_time_ms;
+  bits.total_samples = run->total_samples();
+  bits.min_link_samples = std::numeric_limits<size_t>::max();
+  const int n = static_cast<int>(pool.size());
+  for (int i = 0; i < n; ++i) {
+    for (int j = 0; j < n; ++j) {
+      if (i != j) {
+        bits.min_link_samples =
+            std::min(bits.min_link_samples, run->Link(i, j).count());
+      }
+    }
+  }
+  return bits;
+}
+
+// Each stage's pairs may be split over any number of participants: each
+// draws its block's samples from a copy of the stream at the block's
+// start, so the matrices of all three metrics (the p99 one through
+// reservoirs filled past their 128 slots on pools up to 55), the virtual
+// time and the sample count are bit-identical to a one-thread run, on a
+// static cloud and with relocation mid-run. Pools of 2, 3 and 5 hold too
+// few pairs per stage to split and run on one thread.
+TEST(StagedParticipantsTest, EveryParticipantCountMeasuresTheSameBits) {
+  struct Case {
+    int instances;
+    double duration_s;
+    bool past_reservoir;  // every link ends with > kReservoirCap samples
+  };
+  const Case cases[] = {{2, 1.0, true},   {3, 1.0, true},
+                        {5, 1.5, true},   {55, 26.0, true},
+                        {66, 3.0, false}, {220, 1.0, false}};
+  for (const Case& c : cases) {
+    for (bool relocation : {false, true}) {
+      net::CloudSimulator cloud(net::AmazonEc2Profile(),
+                                100 + static_cast<uint64_t>(c.instances));
+      auto pool = cloud.Allocate(c.instances);
+      ASSERT_TRUE(pool.ok()) << pool.status().ToString();
+      net::DynamicsConfig config;
+      config.start_hours = 0.25 * c.duration_s / 3600.0;  // moves mid-run
+      config.episode_rate = 0.3;
+      config.relocation_window_hours = 0.25 * c.duration_s / 3600.0;
+      config.relocation_prob = 0.3;
+      config.seed = 5;
+      net::NetworkDynamics dynamics(config, &cloud.topology());
+      if (relocation) cloud.AttachDynamics(&dynamics);
+
+      ProtocolOptions options;
+      options.duration_s = c.duration_s;
+      options.seed = 31;
+      const StagedBits one = RunStagedBits(cloud, *pool, options);
+      ASSERT_EQ(one.matrices.size(), 3u);
+      if (c.past_reservoir) {
+        EXPECT_GT(one.min_link_samples, MeasurementResult::kReservoirCap)
+            << c.instances << " instances";
+      }
+      for (int participants = 2; participants <= 4; ++participants) {
+        options.participants = participants;
+        const StagedBits many = RunStagedBits(cloud, *pool, options);
+        const std::string what = std::to_string(c.instances) +
+                                 " instances, " +
+                                 std::to_string(participants) +
+                                 " participants" +
+                                 (relocation ? ", relocation" : "");
+        ASSERT_EQ(many.matrices.size(), one.matrices.size()) << what;
+        for (size_t m = 0; m < one.matrices.size(); ++m) {
+          ASSERT_EQ(many.matrices[m].size(), one.matrices[m].size()) << what;
+          EXPECT_EQ(std::memcmp(many.matrices[m].data(),
+                                one.matrices[m].data(),
+                                one.matrices[m].size() * sizeof(double)),
+                    0)
+              << what << ", metric " << m;
+        }
+        EXPECT_EQ(std::memcmp(&many.virtual_time_ms, &one.virtual_time_ms,
+                              sizeof(double)),
+                  0)
+            << what;
+        EXPECT_EQ(many.total_samples, one.total_samples) << what;
+      }
+      cloud.AttachDynamics(nullptr);
+    }
+  }
+}
+
+TEST(StagedParticipantsTest, FewPairsPerStageRunOnOneParticipant) {
+  EXPECT_EQ(StagedParticipants(2, 4), 1);
+  EXPECT_EQ(StagedParticipants(15, 4), 1);  // 7 pairs
+  EXPECT_EQ(StagedParticipants(16, 4), 2);  // 8 pairs
+  EXPECT_EQ(StagedParticipants(55, 4), 4);  // 27 pairs
+  EXPECT_EQ(StagedParticipants(55, 1), 1);
+  EXPECT_EQ(StagedParticipants(55, 64), 6);
+}
+
+TEST(StagedParticipantsTest, ParticipantsOutsideTheirRangeAreRejected) {
+  net::CloudSimulator cloud(net::AmazonEc2Profile(), 3);
+  auto pool = cloud.Allocate(20);
+  ASSERT_TRUE(pool.ok());
+  for (int participants : {0, -1, ProtocolOptions::kMaxParticipants + 1}) {
+    ProtocolOptions options;
+    options.participants = participants;
+    EXPECT_EQ(options.Validate().code(), StatusCode::kInvalidArgument);
+    auto r = RunStaged(cloud, *pool, options);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
+// A cancel tripped while helpers measure a stage ends the run with
+// Cancelled, and every helper is joined before the call returns, on this
+// path and on a run that completes.
+TEST(StagedParticipantsTest, CancelMidRunReturnsCancelledAndJoinsHelpers) {
+  net::CloudSimulator cloud(net::AmazonEc2Profile(), 9);
+  auto pool = cloud.Allocate(55);
+  ASSERT_TRUE(pool.ok());
+  const int threads_before = ProcessThreads();
+
+  ProtocolOptions options;
+  options.participants = 4;
+  options.keep_percentiles = false;
+  options.duration_s = 1e6;  // runs until cancelled
+  std::thread canceller([&options] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    options.cancel.Cancel();
+  });
+  auto cancelled = RunStaged(cloud, *pool, options);
+  canceller.join();
+  ASSERT_FALSE(cancelled.ok());
+  EXPECT_EQ(cancelled.status().code(), StatusCode::kCancelled);
+  EXPECT_EQ(ProcessThreads(), threads_before);
+
+  options.cancel = CancelToken();
+  options.duration_s = 0.5;
+  EXPECT_TRUE(RunStaged(cloud, *pool, options).ok());
+  EXPECT_EQ(ProcessThreads(), threads_before);
 }
 
 TEST_F(ProtocolsTest, StagedRejectsBadKs) {

@@ -67,6 +67,29 @@ TEST(RedeployServiceTest, RedeploymentIsOptInPerEnvironment) {
   EXPECT_FALSE(bad_handle.Wait().status.ok());
 }
 
+// service.redeploy.failed counts every redeploy that resolves non-OK, and
+// nothing else.
+TEST(RedeployServiceTest, FailedRedeploysAreCounted) {
+  AdvisorService::Options options;
+  options.threads = 1;
+  AdvisorService service(options);
+  graph::CommGraph app = graph::Mesh2D(3, 4);
+  RedeployRequest request;
+  request.environment = SmallEnv();
+  request.app = &app;
+  request.checks = 2;
+
+  EXPECT_FALSE(service.SubmitRedeploy(request).Wait().status.ok());
+  EXPECT_EQ(service.stats().redeploys_failed, 1u);
+
+  service.EnableRedeployment(SmallEnv(), AggressivePolicy());
+  RedeployHandle handle = service.SubmitRedeploy(request);
+  const RedeployResult& ok = handle.Wait();
+  ASSERT_TRUE(ok.status.ok()) << ok.status.ToString();
+  EXPECT_EQ(service.stats().redeploys_failed, 1u);
+  EXPECT_EQ(service.stats().redeploys, 2u);
+}
+
 TEST(RedeployServiceTest, RefusesServicesWithACustomMeasureFn) {
   // Drift probes run against the rebuilt simulated cloud; a service whose
   // baselines come from an injected measure_fn would feed simulator

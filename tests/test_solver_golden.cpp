@@ -24,6 +24,7 @@ struct GoldenCase {
   const char* fixture;
   const char* method;
   double cost;
+  int cost_clusters = 4;
 };
 
 // Recorded 2026-07 from the pre-migration evaluator (seed state at commit
@@ -42,12 +43,13 @@ constexpr GoldenCase kGolden[] = {
     {"bip2x4-ll", "g2", 1.2673762788870306},
     {"bip2x4-ll", "r1", 1.1232986803465945},
     {"bip2x4-ll", "cp", 1.1540856223671832},
-    // The MIP proves the clustered optimum (1.097), which 3408 deployments
-    // share; the cost here is the actual cost of the one its search meets
-    // first. Re-recorded when the LP became a warm-started dual simplex
-    // (it was 1.1770176051835348 under the dense primal tableau).
-    {"bip2x4-ll", "mip", 1.1696751548310433},
     {"bip2x4-ll", "local", 1.1232986803465945},
+    // Unclustered, the MIP proves the actual optimum, so whichever of the
+    // optimal deployments its search meets, the cost is this one. With
+    // clusters it proves one of 3408 tied clustered optima, whose actual
+    // costs differ; ClusteredMipProvesTheBruteForceClusteredOptimum checks
+    // that case against brute force instead of pinning it.
+    {"bip2x4-ll", "mip", 1.1232986803465945, /*cost_clusters=*/0},
 };
 
 struct Fixture {
@@ -77,7 +79,7 @@ TEST(SolverGoldenTest, DeterministicSolversAreBitIdenticalToPreMigration) {
     opts.objective = fx.objective;
     opts.seed = 7;
     opts.time_budget_s = 60.0;
-    opts.cost_clusters = 4;
+    opts.cost_clusters = c.cost_clusters;
     opts.r1_samples = 200;
     SolveContext context(Deadline::After(60.0));
     auto r = SolveNodeDeploymentByName(fx.graph, costs, c.method, opts,
@@ -88,6 +90,32 @@ TEST(SolverGoldenTest, DeterministicSolversAreBitIdenticalToPreMigration) {
         << c.fixture << "/" << c.method
         << ": cost drifted from the pre-migration recording";
   }
+}
+
+// The clustered MIP on bip2x4-ll proves the optimum of the clustered
+// matrix (paper Sect. 4.3), which 3408 deployments share. The actual cost
+// it reports is that of the one its search meets first, which any change
+// of search path may move; what must hold is the proof and its value.
+TEST(SolverGoldenTest, ClusteredMipProvesTheBruteForceClusteredOptimum) {
+  Fixture fx = MakeFixture("bip2x4-ll");
+  Rng rng(42);
+  CostMatrix costs = RandomCosts(fx.m, rng);
+  NdpSolveOptions opts;
+  opts.objective = fx.objective;
+  opts.seed = 7;
+  opts.time_budget_s = 60.0;
+  opts.cost_clusters = 4;
+  SolveContext context(Deadline::After(60.0));
+  auto r = SolveNodeDeploymentByName(fx.graph, costs, "mip", opts, context);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_TRUE(r->proven_optimal);
+
+  auto clustered = ClusterCostMatrix(costs, opts.cost_clusters);
+  ASSERT_TRUE(clustered.ok()) << clustered.status().ToString();
+  auto eval = CostEvaluator::Create(&fx.graph, &*clustered, fx.objective);
+  ASSERT_TRUE(eval.ok()) << eval.status().ToString();
+  EXPECT_EQ(eval->Cost(r->deployment),
+            BruteForceOptimum(fx.graph, *clustered, fx.objective));
 }
 
 }  // namespace

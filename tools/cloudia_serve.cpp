@@ -273,10 +273,11 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(s.warm_starts));
   if (s.redeploys > 0) {
     std::printf(
-        "online redeployment: %llu requests (%llu detected drift); "
-        "%llu refreshed matrices fed back into the cache\n",
+        "online redeployment: %llu requests (%llu detected drift), "
+        "%llu failed; %llu refreshed matrices fed back into the cache\n",
         static_cast<unsigned long long>(s.redeploys),
         static_cast<unsigned long long>(s.redeploys_drifted),
+        static_cast<unsigned long long>(s.redeploys_failed),
         static_cast<unsigned long long>(s.matrix_refreshes));
   }
   int io_errors = 0;
