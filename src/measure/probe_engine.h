@@ -91,6 +91,8 @@ class MeasurementResult {
 
   /// Virtual time the measurement occupied the instances (ms).
   double virtual_time_ms = 0.0;
+  /// Threads that measured the run, the caller included.
+  int participants = 1;
 
   /// Links with at least `min_samples` samples, as a fraction of all ordered
   /// pairs. Used to verify coverage.

@@ -74,7 +74,10 @@ T AwaitChange(const std::atomic<T>& flag, T old) {
 // work(h), h = 0..helpers-1, runs work(helpers) on the leader, and returns
 // once each helper has finished; all writes of that round are then visible
 // to the leader. The destructor stops and joins the helpers, so none
-// outlives the run on any path.
+// outlives the run on any path. Handing each stage's blocks to a
+// common/thread_pool ThreadPool instead (a condition-variable wake and a
+// future per block) measured slower than one thread on a pool of 55: a
+// stage lasts about 10 us, under the pool's wake-up latency.
 class StageCrew {
  public:
   StageCrew(int helpers, std::function<void(int)> work)
@@ -165,10 +168,9 @@ Status ProtocolOptions::Validate() const {
   if (!std::isfinite(start_t_hours)) {
     return Status::InvalidArgument("start_t_hours must be finite");
   }
-  if (participants < 1 || participants > kMaxParticipants) {
-    return Status::InvalidArgument(
-        "participants must be in [1, " + std::to_string(kMaxParticipants) +
-        "], got " + std::to_string(participants));
+  if (participants < 1) {
+    return Status::InvalidArgument("participants must be >= 1, got " +
+                                   std::to_string(participants));
   }
   return Status::OK();
 }
@@ -178,10 +180,12 @@ uint64_t MeasurementProtocolSeed(uint64_t seed) {
   return SplitMix64(s);
 }
 
-int StagedParticipants(size_t instances, int requested) {
-  const int pairs = static_cast<int>(instances / 2);
-  return std::max(1, std::min(requested, pairs / ProtocolOptions::
-                                                     kMinPairsPerParticipant));
+int UsefulParticipants(Protocol protocol, size_t instances) {
+  if (protocol != Protocol::kStaged) return 1;
+  const size_t per_pairs =
+      instances / 2 / ProtocolOptions::kMinPairsPerParticipant;
+  return static_cast<int>(std::clamp<size_t>(
+      per_pairs, 1, ProtocolOptions::kMaxParticipants));
 }
 
 double DefaultMeasureDurationS(size_t instance_count) {
@@ -377,10 +381,13 @@ Result<MeasurementResult> RunStaged(const net::CloudSimulator& cloud,
     }
     block.longest_ms = longest;
   };
-  StageCrew crew(
-      StagedParticipants(instances.size(), options.participants) - 1,
-      measure_block);
+  StageCrew crew(std::min(options.participants,
+                          UsefulParticipants(Protocol::kStaged,
+                                             instances.size())) -
+                     1,
+                 measure_block);
   blocks.resize(static_cast<size_t>(crew.size()));
+  result.participants = crew.size();
 
   int round = 0;
   int cycle = 0;

@@ -22,6 +22,10 @@
 
 namespace cloudia::measure {
 
+enum class Protocol { kTokenPassing, kUncoordinated, kStaged };
+
+const char* ProtocolName(Protocol protocol);
+
 struct ProtocolOptions {
   /// Probe message size (paper: 1 KB TCP round trips).
   double msg_bytes = net::kDefaultProbeBytes;
@@ -41,11 +45,11 @@ struct ProtocolOptions {
   /// build one known metric set this to `metric == CostMetric::kP99`.
   bool keep_percentiles = true;
   /// Staged only: threads that measure each stage's pairs, the caller
-  /// included (1..kMaxParticipants). Every draw is taken in one stream
-  /// order before the stage's pairs are priced, so the result is
-  /// bit-identical for any value; only the wall time changes. A run whose
-  /// stages hold fewer than kMinPairsPerParticipant pairs per participant
-  /// uses fewer participants (at least 1).
+  /// included (>= 1). Every draw is taken in one stream order before the
+  /// stage's pairs are priced, so the result is bit-identical for any
+  /// value; only the wall time changes. A run uses at most
+  /// UsefulParticipants() of them and reports the number it used in
+  /// MeasurementResult::participants.
   int participants = 1;
   /// Cooperative abort: the protocols poll this token between probes and
   /// fail with Status::Cancelled when tripped. A measurement is the billed,
@@ -54,17 +58,18 @@ struct ProtocolOptions {
   CancelToken cancel;
 
   /// OK iff duration_s is finite and > 0, msg_bytes finite and >= 0,
-  /// start_t_hours finite and participants in [1, kMaxParticipants]. Every
+  /// start_t_hours finite and participants >= 1. Every
   /// protocol entry point checks this first, so an infinite duration cannot
   /// spin a run until its cancel token trips and a NaN one cannot return an
   /// empty run.
   Status Validate() const;
 
-  static constexpr int kMaxParticipants = 64;
   /// A staged run splits each stage over at most
   /// floor(pairs per stage / kMinPairsPerParticipant) participants: with
   /// fewer pairs each, the stage handoff costs more than the split saves.
   static constexpr int kMinPairsPerParticipant = 4;
+  /// And over at most this many, however large the pool.
+  static constexpr int kMaxParticipants = 64;
 };
 
 /// Derives the protocol seed from a measurement seed. Applied by
@@ -90,21 +95,20 @@ Result<MeasurementResult> RunUncoordinated(
     const std::vector<net::Instance>& instances,
     const ProtocolOptions& options);
 
-/// Participants a staged run over `instances` uses when asked for
-/// `requested`: at most one per kMinPairsPerParticipant pairs of a stage,
-/// and at least 1.
-int StagedParticipants(size_t instances, int requested);
+/// The most participants a run of `protocol` over `instances` puts to
+/// work, however many it is given: for a staged run one per
+/// kMinPairsPerParticipant pairs of a stage, at most kMaxParticipants and
+/// at least 1; 1 for the other protocols. A caller that lends a run
+/// threads need lend no more than this.
+int UsefulParticipants(Protocol protocol, size_t instances);
 
 /// Runs the staged protocol with a coordinator, each stage's pairs split
-/// over options.participants threads (the caller and helpers it starts and
-/// joins before returning, on every path).
+/// over min(options.participants, UsefulParticipants()) threads (the caller
+/// and helpers it starts and joins before returning, on every path; fewer
+/// if the system refuses a thread).
 Result<MeasurementResult> RunStaged(const net::CloudSimulator& cloud,
                                     const std::vector<net::Instance>& instances,
                                     const ProtocolOptions& options);
-
-enum class Protocol { kTokenPassing, kUncoordinated, kStaged };
-
-const char* ProtocolName(Protocol protocol);
 
 /// Dispatch helper.
 Result<MeasurementResult> RunProtocol(const net::CloudSimulator& cloud,

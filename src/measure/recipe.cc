@@ -47,11 +47,8 @@ Result<MeasuredMatrix> MeasureCostMatrix(const net::CloudSimulator& cloud,
                                     static_cast<double>(pool.size())));
     obs.tracer->AddArg(id, obs::Arg("samples", static_cast<double>(samples)));
     obs.tracer->AddArg(id, obs::Arg("virtual_s", measured.virtual_s));
-    const int used = spec.protocol == Protocol::kStaged
-                         ? StagedParticipants(pool.size(), participants)
-                         : 1;
-    obs.tracer->AddArg(id,
-                       obs::Arg("participants", static_cast<double>(used)));
+    obs.tracer->AddArg(
+        id, obs::Arg("participants", static_cast<double>(run.participants)));
   }
   CLOUDIA_ASSIGN_OR_RETURN(measured.costs, BuildCostMatrix(run, spec.metric));
   return measured;

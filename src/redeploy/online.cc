@@ -106,13 +106,13 @@ Result<OnlineOutcome> RunOnlineRedeployment(
           ++outcome.remeasures;
           remeasures_counter.Add();
           record.remeasured = true;
-          const double duration_s = spec.DurationS(pool.size());
           outcome.latest_costs = std::move(refreshed->costs);
-          // Observers get the instant the re-measure *completed*: that is
+          // Observers get the instant the re-measure *completed*, after the
+          // protocol's virtual time (the instant its span ends): that is
           // where a drift timeline for this matrix starts (matching how a
-          // baseline measured from t = 0 is stamped with its duration).
+          // baseline measured from t = 0 is stamped with its virtual time).
           if (on_refresh) {
-            on_refresh(t_hours + duration_s / 3600.0,
+            on_refresh(t_hours + refreshed->virtual_s / 3600.0,
                        outcome.latest_costs);
           }
 

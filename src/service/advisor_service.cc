@@ -17,6 +17,7 @@
 #include "common/check.h"
 #include "common/timer.h"
 #include "deploy/solver_registry.h"
+#include "measure/protocols.h"
 
 namespace cloudia::service {
 
@@ -332,17 +333,21 @@ AdvisorService::AdvisorService(Options options)
         copts.measure_fn = options_.measure_fn;
         copts.metrics = stats_->registry;
         // A measurement runs on what the thread budget has left when it
-        // starts (at least its own thread), counted like a solve's share
-        // until it ends; matrices do not depend on the number.
-        copts.take_participants = [this] {
+        // starts (at least its own thread, at most what its protocol puts
+        // to work), counted like a solve's share until it ends; matrices
+        // do not depend on the number.
+        copts.lend_threads = [this](const EnvironmentSpec& spec) {
+          const size_t instances =
+              static_cast<size_t>(std::max(spec.instances, 0));
           std::lock_guard<std::mutex> lock(mu_);
-          const int share = std::max(1, threads_ - granted_threads_);
+          const int share = std::clamp(
+              threads_ - granted_threads_, 1,
+              measure::UsefulParticipants(spec.protocol, instances));
           granted_threads_ += share;
-          return share;
-        };
-        copts.return_participants = [this](int share) {
-          std::lock_guard<std::mutex> lock(mu_);
-          granted_threads_ -= share;
+          return ThreadLease(share, [this, share] {
+            std::lock_guard<std::mutex> lock(mu_);
+            granted_threads_ -= share;
+          });
         };
         return copts;
       }()),
@@ -648,9 +653,9 @@ void AdvisorService::ExecuteRedeploy(
     fresh.instances = env->instances;
     fresh.costs = refreshed;
     // Stamp the entry with the virtual instant its re-measure completed
-    // (for the baseline, start 0 + duration is the same quantity): a later
-    // redeploy on this environment anchors its drift timeline here, not
-    // back at the original baseline's end.
+    // (for the baseline, start 0 + virtual time is the same quantity): a
+    // later redeploy on this environment anchors its drift timeline here,
+    // not back at the original baseline's end.
     fresh.measure_virtual_s = t_hours * 3600.0;
     cache_.Put(std::move(fresh));
     result.matrix_refreshed = true;

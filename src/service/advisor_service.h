@@ -239,11 +239,13 @@ class AdvisorService {
     /// Global worker-thread budget: the number of concurrent jobs, and the
     /// cap on the threads a job's measurement and its solve use. A
     /// measurement or a solve takes what the budget has left when it starts
-    /// (at least 1 thread) and holds it until it ends; a request waiting on
-    /// another's measurement holds none. 0 = hardware concurrency. A
-    /// measured matrix is bit-identical for any budget. With threads = 1
-    /// the whole service is deterministic: jobs run sequentially in strict
-    /// priority order and every solver runs single-threaded.
+    /// (at least 1 thread; a measurement at most what its protocol puts to
+    /// work, measure::UsefulParticipants) and holds it until it ends; a
+    /// request waiting on another's measurement holds none. 0 = hardware
+    /// concurrency. A measured matrix is bit-identical for any budget. With
+    /// threads = 1 the whole service is deterministic: jobs run
+    /// sequentially in strict priority order and every solver runs
+    /// single-threaded.
     int threads = 0;
     size_t cache_capacity = 8;
     double cache_ttl_s = std::numeric_limits<double>::infinity();

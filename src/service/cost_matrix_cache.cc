@@ -189,12 +189,9 @@ Result<CostMatrixCache::Lookup> CostMatrixCache::Get(
 Result<MeasuredEnvironment> CostMatrixCache::Measure(
     const EnvironmentSpec& spec, const CancelToken& cancel,
     const obs::ObsConfig& obs) {
-  const int participants =
-      options_.take_participants ? options_.take_participants() : 1;
-  Result<MeasuredEnvironment> measured =
-      MeasureEnvironment(spec, cancel, obs, participants);
-  if (options_.return_participants) options_.return_participants(participants);
-  return measured;
+  const ThreadLease lease =
+      options_.lend_threads ? options_.lend_threads(spec) : ThreadLease();
+  return MeasureEnvironment(spec, cancel, obs, lease.threads());
 }
 
 void CostMatrixCache::Put(MeasuredEnvironment env) {

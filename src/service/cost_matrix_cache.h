@@ -30,6 +30,7 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/cancel.h"
@@ -39,6 +40,29 @@
 #include "service/environment.h"
 
 namespace cloudia::service {
+
+/// Threads lent to one measurement, the measuring thread included; the
+/// lender gets them back when the lease is destroyed. Default: the
+/// caller's own thread, lent by no one.
+class ThreadLease {
+ public:
+  ThreadLease() = default;
+  ThreadLease(int threads, std::function<void()> give_back)
+      : threads_(threads), give_back_(std::move(give_back)) {}
+  ThreadLease(ThreadLease&& other) noexcept
+      : threads_(other.threads_),
+        give_back_(std::exchange(other.give_back_, nullptr)) {}
+  ThreadLease& operator=(ThreadLease&&) = delete;
+  ~ThreadLease() {
+    if (give_back_) give_back_();
+  }
+
+  int threads() const { return threads_; }
+
+ private:
+  int threads_ = 1;
+  std::function<void()> give_back_;
+};
 
 class CostMatrixCache {
  public:
@@ -55,14 +79,12 @@ class CostMatrixCache {
     double ttl_s = std::numeric_limits<double>::infinity();
     /// Test hook: replaces the real measurement.
     MeasureFn measure_fn;
-    /// Lends a real measurement idle threads. A caller that leads one calls
-    /// `take_participants` just before it starts, measures on the returned
-    /// number of participants (>= 1), and hands the same number to
-    /// `return_participants` once it ends, whatever its outcome. Waiters,
-    /// hits and measure_fn take nothing. Unset: every measurement runs on
-    /// its caller alone.
-    std::function<int()> take_participants;
-    std::function<void(int)> return_participants;
+    /// Lends a real measurement idle threads. A caller that leads one takes
+    /// a lease just before it starts, measures on its threads() (>= 1) and
+    /// drops it once the measurement ends, whatever its outcome. Waiters,
+    /// hits and measure_fn take none. Unset: every measurement runs on its
+    /// caller alone.
+    std::function<ThreadLease(const EnvironmentSpec&)> lend_threads;
     /// Test hook: monotonic clock in seconds, for deterministic TTL tests.
     std::function<double()> now_fn;
     /// The registry the cache counts into, as cache.matrix.* counters; it
@@ -142,7 +164,7 @@ class CostMatrixCache {
   };
 
   double Now() const;
-  /// The real measurement, on the participants take_participants lends.
+  /// The real measurement, on the threads lend_threads lends.
   Result<MeasuredEnvironment> Measure(const EnvironmentSpec& spec,
                                       const CancelToken& cancel,
                                       const obs::ObsConfig& obs);

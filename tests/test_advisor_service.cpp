@@ -551,11 +551,12 @@ TEST(AdvisorServiceTest, ServiceMatrixMatchesSessionMeasurement) {
   EXPECT_EQ(session.costs(), measured->costs);
 }
 
-// A lone request on an idle service measures on the service's whole
-// thread budget, and the matrix must not depend on that budget.
+// A lone request on an idle service measures on the service's idle
+// thread budget, as much of it as its protocol puts to work, and the
+// matrix must not depend on that budget.
 TEST(AdvisorServiceTest, LoneRequestMeasuresOnTheIdleBudgetBitForBit) {
   graph::CommGraph app = graph::Mesh2D(3, 4);
-  auto measure = [&app](int threads, obs::Tracer* tracer) {
+  auto lone_matrix = [&app](int threads, obs::Tracer* tracer) {
     AdvisorService::Options options;
     options.threads = threads;
     options.obs.tracer = tracer;
@@ -563,25 +564,34 @@ TEST(AdvisorServiceTest, LoneRequestMeasuresOnTheIdleBudgetBitForBit) {
     DeploymentRequest req = BasicRequest(&app);
     req.environment = TinyEnv(/*seed=*/11, /*instances=*/24);
     const EnvironmentSpec spec = req.environment;
-    EXPECT_TRUE(service.Submit(std::move(req)).Wait().status.ok());
+    const ServiceResult result = service.Submit(std::move(req)).Wait();
+    EXPECT_TRUE(result.status.ok()) << result.status.ToString();
     auto cached = service.cache().Get(spec);
     EXPECT_TRUE(cached.ok() && cached->hit);
     return cached.ok() ? cached->entry->costs.values() : std::vector<double>{};
   };
-  obs::Tracer tracer;
-  const std::vector<double> one = measure(1, nullptr);
-  const std::vector<double> two = measure(2, &tracer);
-  ASSERT_FALSE(one.empty());
-  EXPECT_EQ(two, one);
-
-  double participants = 0.0;
-  for (const obs::TraceEvent& event : tracer.Snapshot()) {
-    if (event.name != "measure.run") continue;
-    for (const obs::TraceArg& arg : event.args) {
-      if (arg.key == "participants") participants = arg.number;
+  auto participants = [](const obs::Tracer& tracer) {
+    double used = 0.0;
+    for (const obs::TraceEvent& event : tracer.Snapshot()) {
+      if (event.name != "measure.run") continue;
+      for (const obs::TraceArg& arg : event.args) {
+        if (arg.key == "participants") used = arg.number;
+      }
     }
-  }
-  EXPECT_EQ(participants, 2.0);  // 12 pairs a stage: both threads measured
+    return used;
+  };
+  const std::vector<double> one = lone_matrix(1, nullptr);
+  ASSERT_FALSE(one.empty());
+  obs::Tracer two_tracer;
+  EXPECT_EQ(lone_matrix(2, &two_tracer), one);
+  EXPECT_EQ(participants(two_tracer), 2.0);  // 12 pairs a stage
+  // A budget above what the run puts to work lends it only that much:
+  // 12 pairs a stage, kMinPairsPerParticipant = 4 each.
+  obs::Tracer wide_tracer;
+  EXPECT_EQ(lone_matrix(measure::ProtocolOptions::kMaxParticipants + 1,
+                        &wide_tracer),
+            one);
+  EXPECT_EQ(participants(wide_tracer), 3.0);
 }
 
 // Runs one paused single-worker batch that exercises every counter behind

@@ -371,6 +371,28 @@ TEST(CostMatrixCacheTest, MeasurementErrorsPropagateAndAreNotCached) {
   ASSERT_TRUE(cache.Get(TinyEnv()).ok());
 }
 
+// Only a caller that really measures takes a lease, and the lease goes
+// back whatever the measurement's outcome; hits take none.
+TEST(CostMatrixCacheTest, MeasurementsGiveTheirThreadLeaseBack) {
+  int leases = 0;
+  int lent = 0;
+  CostMatrixCache::Options options;
+  options.lend_threads = [&](const EnvironmentSpec&) {
+    ++leases;
+    lent += 2;
+    return ThreadLease(2, [&lent] { lent -= 2; });
+  };
+  CostMatrixCache cache(options);
+  ASSERT_TRUE(cache.Get(TinyEnv(1)).ok());
+  EXPECT_EQ(lent, 0);
+  EnvironmentSpec unknown = TinyEnv(2);
+  unknown.provider = "no-such-cloud";
+  EXPECT_FALSE(cache.Get(unknown).ok());
+  EXPECT_EQ(lent, 0);
+  ASSERT_TRUE(cache.Get(TinyEnv(1)).ok());  // a hit
+  EXPECT_EQ(leases, 2);
+}
+
 TEST(CostMatrixCacheTest, ClearDropsCompletedEntries) {
   CostMatrixCache::Options options;
   options.measure_fn = FakeMeasure;

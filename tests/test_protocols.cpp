@@ -291,20 +291,51 @@ TEST(StagedParticipantsTest, EveryParticipantCountMeasuresTheSameBits) {
   }
 }
 
-TEST(StagedParticipantsTest, FewPairsPerStageRunOnOneParticipant) {
-  EXPECT_EQ(StagedParticipants(2, 4), 1);
-  EXPECT_EQ(StagedParticipants(15, 4), 1);  // 7 pairs
-  EXPECT_EQ(StagedParticipants(16, 4), 2);  // 8 pairs
-  EXPECT_EQ(StagedParticipants(55, 4), 4);  // 27 pairs
-  EXPECT_EQ(StagedParticipants(55, 1), 1);
-  EXPECT_EQ(StagedParticipants(55, 64), 6);
+TEST(StagedParticipantsTest, UsefulParticipantsFollowPairsPerStage) {
+  EXPECT_EQ(UsefulParticipants(Protocol::kStaged, 2), 1);
+  EXPECT_EQ(UsefulParticipants(Protocol::kStaged, 15), 1);  // 7 pairs
+  EXPECT_EQ(UsefulParticipants(Protocol::kStaged, 16), 2);  // 8 pairs
+  EXPECT_EQ(UsefulParticipants(Protocol::kStaged, 55), 6);  // 27 pairs
+  EXPECT_EQ(UsefulParticipants(Protocol::kStaged, 1000),
+            ProtocolOptions::kMaxParticipants);
+  EXPECT_EQ(UsefulParticipants(Protocol::kTokenPassing, 55), 1);
+  EXPECT_EQ(UsefulParticipants(Protocol::kUncoordinated, 55), 1);
 }
 
-TEST(StagedParticipantsTest, ParticipantsOutsideTheirRangeAreRejected) {
+// A run given more participants than it puts to work measures on the
+// useful number, however many it is given, and reports the number it used.
+TEST(StagedParticipantsTest, RunsReportTheParticipantsTheyUsed) {
+  net::CloudSimulator cloud(net::AmazonEc2Profile(), 3);
+  auto pool = cloud.Allocate(55);
+  ASSERT_TRUE(pool.ok());
+  const std::vector<net::Instance> few(pool->begin(), pool->begin() + 5);
+  struct Case {
+    const std::vector<net::Instance>* instances;
+    int given;
+    int used;
+  };
+  const Case cases[] = {{&*pool, 1, 1},
+                        {&*pool, 4, 4},
+                        {&*pool, ProtocolOptions::kMaxParticipants + 1, 6},
+                        {&few, 4, 1}};
+  for (const Case& c : cases) {
+    ProtocolOptions options;
+    options.duration_s = 0.2;
+    options.keep_percentiles = false;
+    options.participants = c.given;
+    EXPECT_TRUE(options.Validate().ok());
+    auto r = RunStaged(cloud, *c.instances, options);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r->participants, c.used)
+        << c.instances->size() << " instances, " << c.given << " given";
+  }
+}
+
+TEST(StagedParticipantsTest, ParticipantsBelowOneAreRejected) {
   net::CloudSimulator cloud(net::AmazonEc2Profile(), 3);
   auto pool = cloud.Allocate(20);
   ASSERT_TRUE(pool.ok());
-  for (int participants : {0, -1, ProtocolOptions::kMaxParticipants + 1}) {
+  for (int participants : {0, -1}) {
     ProtocolOptions options;
     options.participants = participants;
     EXPECT_EQ(options.Validate().code(), StatusCode::kInvalidArgument);
